@@ -6,12 +6,33 @@ orbit; birationally the coefficients act as exponents and the statistic
 is the orbit product of the monomial (constant 1 means 0-mesic in log
 coordinates).  Homomesy = the statistic is the same on every orbit; the
 constant is discovered from the first sample, never guessed.
+
+Both statistics factor through one per-element aggregate of the orbit:
+the average of a linear form is the linear form of the column means
+(the orbit average of each element), and the orbit product of a
+monomial is the monomial of the column products.  So each orbit is
+walked once, its columns are aggregated once, and every functional is
+read off the aggregate with one sparse dot product or monomial.
 """
+
+from math import prod
 
 from .dynamics import promotion, rowmotion
 from .orbits import orbit
 from .posets import PosetError, rectangle_poset
 from .rational import ONE, Rat, ZERO, as_integer
+
+
+def _linear(coefficients, values):
+    return sum((c * v for c, v in zip(coefficients, values) if c != ZERO), ZERO)
+
+
+def _monomial(coefficients, values):
+    out = ONE
+    for c, v in zip(coefficients, values):
+        if c != ZERO:
+            out *= v ** as_integer(c)
+    return out
 
 
 class Functional:
@@ -25,17 +46,11 @@ class Functional:
 
     def linear_value(self, f):
         'Sum of coefficient * entry.'
-        return sum(
-            (c * v for c, v in zip(self.coefficients, f.values) if c != ZERO), ZERO
-        )
+        return _linear(self.coefficients, f.values)
 
     def monomial_value(self, f):
         'Product of entry ** coefficient; needs integer coefficients.'
-        out = ONE
-        for c, v in zip(self.coefficients, f.values):
-            if c != ZERO:
-                out *= v ** as_integer(c)
-        return out
+        return _monomial(self.coefficients, f.values)
 
     def __eq__(self, other):
         return (
@@ -91,14 +106,29 @@ def step_map(alg, map_name):
     return lambda f: stepper(alg, f)
 
 
-def _statistic_over(alg, functional, record):
+def _orbit_columns(alg, map_name, f, cap):
+    'Walk the orbit of f once: its per-element value columns and its period.'
+    rec = orbit(step_map(alg, map_name), f, cap=cap)
+    return list(zip(*(state.values for state in rec))), rec.period
+
+
+def _means(columns, period):
+    return [sum(column, ZERO) / period for column in columns]
+
+
+def _orbit_aggregate(alg, map_name, f, cap):
+    'Column products birationally, column means piecewise-linearly; and the period.'
+    columns, period = _orbit_columns(alg, map_name, f, cap)
     if alg.positive_domain:
-        value = ONE
-        for state in record:
-            value *= functional.monomial_value(state)
-        return value
-    total = sum((functional.linear_value(state) for state in record), ZERO)
-    return total / record.period
+        return [prod(column, start=ONE) for column in columns], period
+    return _means(columns, period), period
+
+
+def _read(alg, functional, aggregate):
+    'The orbit statistic of a functional, from the orbit aggregate.'
+    if alg.positive_domain:
+        return _monomial(functional.coefficients, aggregate)
+    return _linear(functional.coefficients, aggregate)
 
 
 def orbit_statistic(alg, map_name, functional, f, cap=1000):
@@ -107,14 +137,14 @@ def orbit_statistic(alg, map_name, functional, f, cap=1000):
     Piecewise-linear: exact mean of the linear form over the orbit.
     Birational: orbit product of the monomial.
     """
-    rec = orbit(step_map(alg, map_name), f, cap=cap)
-    return _statistic_over(alg, functional, rec), rec.period
+    aggregate, period = _orbit_aggregate(alg, map_name, f, cap)
+    return _read(alg, functional, aggregate), period
 
 
 def orbit_statistics(alg, map_name, functionals, f, cap=1000):
     'All the functionals statistics of one start, walking its orbit once.'
-    rec = orbit(step_map(alg, map_name), f, cap=cap)
-    return {fn.name: _statistic_over(alg, fn, rec) for fn in functionals}
+    aggregate, _ = _orbit_aggregate(alg, map_name, f, cap)
+    return {fn.name: _read(alg, fn, aggregate) for fn in functionals}
 
 
 def homomesy_check(alg, map_name, functional, starts, cap=1000):
@@ -123,6 +153,7 @@ def homomesy_check(alg, map_name, functional, starts, cap=1000):
     The constant comes from the first start; the report records it and
     any starts that disagree.
     """
+    starts = list(starts)
     constant = None
     violations = []
     for f in starts:
@@ -138,7 +169,7 @@ def homomesy_check(alg, map_name, functional, starts, cap=1000):
         "map": map_name,
         "regime": alg.name,
         "constant": str(constant),
-        "samples": len(list(starts)),
+        "samples": len(starts),
         "pass": not violations,
         "violations": violations,
     }
@@ -169,12 +200,7 @@ def exact_rank(rows):
 
 def orbit_average_vector(alg, map_name, f, cap=1000):
     'Per-element orbit averages of a piecewise-linear start.'
-    rec = orbit(step_map(alg, map_name), f, cap=cap)
-    totals = [ZERO] * len(f.values)
-    for state in rec:
-        for x, v in enumerate(state.values):
-            totals[x] += v
-    return [t / rec.period for t in totals]
+    return _means(*_orbit_columns(alg, map_name, f, cap))
 
 
 def homomesy_space_rank(alg, map_name, samples, functionals, cap=1000):

@@ -7,9 +7,9 @@ makes reports byte-identical across runs with the same inputs.
 
 import json
 
-from .posets import OrderIdeal, Poset, RcEmbedding, sorted_indices
+from .posets import OrderIdeal, Poset, PosetError, RcEmbedding, sorted_indices
 from .rational import format_rat, parse_rat
-from .tableaux import GtPattern, Tableau
+from .tableaux import GtPattern, Tableau, TableauError
 
 
 def _label_to_json(label):
@@ -18,6 +18,47 @@ def _label_to_json(label):
 
 def _label_from_json(obj):
     return tuple(obj) if isinstance(obj, list) else obj
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value, length=None):
+    return (
+        isinstance(value, list)
+        and (length is None or len(value) == length)
+        and all(_is_int(v) for v in value)
+    )
+
+
+def _is_label(value):
+    if isinstance(value, list):
+        return all(_is_int(v) or isinstance(v, str) for v in value)
+    return _is_int(value) or isinstance(value, str)
+
+
+def _check_poset_json(obj):
+    'Raise a one-line PosetError unless obj has the shape poset_to_json writes.'
+    if not isinstance(obj, dict):
+        raise PosetError("poset JSON must be an object with size, covers and labels")
+    missing = [key for key in ("size", "covers", "labels") if key not in obj]
+    if missing:
+        raise PosetError(f"poset JSON lacks {', '.join(missing)}")
+    if not _is_int(obj["size"]):
+        raise PosetError("poset size must be an integer")
+    covers = obj["covers"]
+    if not isinstance(covers, list) or not all(_is_int_list(c, 2) for c in covers):
+        raise PosetError("poset covers must be a list of [lower, upper] index pairs")
+    labels = obj["labels"]
+    if not isinstance(labels, list) or not all(_is_label(lab) for lab in labels):
+        raise PosetError("poset labels must be strings, integers, or lists of them")
+    rc = obj.get("rc")
+    if rc is not None and not (isinstance(rc, list) and all(_is_int_list(p, 2) for p in rc)):
+        raise PosetError("poset rc must be a list of [column, rank] integer pairs")
+    shape = obj.get("rectangle")
+    if shape is not None and not _is_int_list(shape, 2):
+        raise PosetError("poset rectangle must be a pair of integers")
 
 
 def poset_to_json(poset):
@@ -34,6 +75,7 @@ def poset_to_json(poset):
 
 
 def poset_from_json(obj):
+    _check_poset_json(obj)
     rc = obj.get("rc")
     shape = obj.get("rectangle")
     return Poset(
@@ -79,7 +121,14 @@ def tableau_to_json(tableau):
 
 
 def tableau_from_json(obj):
-    return Tableau(obj["rows"], obj["max_entry"])
+    if not isinstance(obj, dict) or "rows" not in obj or "max_entry" not in obj:
+        raise TableauError("tableau JSON must be an object with rows and max_entry")
+    rows = obj["rows"]
+    if not isinstance(rows, list) or not all(_is_int_list(row) for row in rows):
+        raise TableauError("tableau rows must be lists of integers")
+    if not _is_int(obj["max_entry"]):
+        raise TableauError("tableau max_entry must be an integer")
+    return Tableau(rows, obj["max_entry"])
 
 
 def pattern_to_json(pattern):

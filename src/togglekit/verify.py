@@ -4,7 +4,13 @@ Each suite returns {"suite", "seed", "pass", "checks": [...]} where every
 check records what was tested, in which regime, how many inputs, and up
 to three counterexamples verbatim.  Suites are deterministic for a given
 seed, which the command line relies on for byte-identical reports.
+
+Every check record comes from _checks, which runs a probe over a list of
+inputs; a suite is its draws, its probes and the names of its checks.
 """
+
+from functools import reduce
+from math import prod
 
 from .birational import (
     file_toggle_swap_check,
@@ -14,20 +20,8 @@ from .birational import (
     recombine_inverse,
     reciprocity_check,
 )
-from .dynamics import (
-    BIRATIONAL,
-    PL,
-    file_toggle,
-    promotion,
-    rowmotion,
-    toggle,
-    vertex_from_ideal,
-)
-from .homomesy import (
-    homomesy_space_rank,
-    orbit_statistics,
-    standard_functionals,
-)
+from .dynamics import BIRATIONAL, PL, file_toggle, promotion, rowmotion, toggle, vertex_from_ideal
+from .homomesy import homomesy_space_rank, orbit_statistics, standard_functionals
 from .polytopes import pl_toggle, three_step
 from .posets import (
     PosetError,
@@ -53,26 +47,35 @@ MAX_REPORTED = 3
 
 BRIDGE_SHAPES = ((2, 3, 5), (2, 2, 4), (1, 3, 4))
 
+RANK_ROUNDS = 4
 
-def _check(name, regime, count, violations, **extra):
-    out = {
-        "check": name,
-        "regime": regime,
-        "inputs": count,
-        "pass": not violations,
-        "violations": violations[:MAX_REPORTED],
-    }
-    out.update(extra)
-    return out
+
+def _checks(regime, inputs, names, probe, count=None, **extra):
+    """One check record per name, all over the same inputs.
+
+    probe(x) returns one list of violation records per name, so work the
+    checks share on an input is done once.  A record keeps the first
+    MAX_REPORTED violations and counts len(inputs) unless count is given.
+    """
+    found = [[] for _ in names]
+    for x in inputs:
+        for violations, records in zip(found, probe(x)):
+            violations += records
+    return [
+        {
+            "check": name,
+            "regime": regime,
+            "inputs": len(inputs) if count is None else count,
+            "pass": not violations,
+            "violations": violations[:MAX_REPORTED],
+            **extra,
+        }
+        for name, violations in zip(names, found)
+    ]
 
 
 def _report(suite, seed, checks):
-    return {
-        "suite": suite,
-        "seed": seed,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    return {"suite": suite, "seed": seed, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
 def _require_shape(poset, suite):
@@ -85,26 +88,34 @@ def _strs(f):
     return [str(v) for v in f.values]
 
 
-def _pl_samples(poset, rng, count):
-    return [PL.array(poset, random_polytope_point(poset, rng)) for _ in range(count)]
+def _unless(ok, f, **fields):
+    'A violation naming the start array f, unless ok.'
+    return [] if ok else [{"start": _strs(f), **fields}]
 
 
-def _bir_samples(poset, rng, count, start=None):
-    if start is not None:
-        return [BIRATIONAL.array(poset, start)]
+def _power(step, x, n):
+    for _ in range(n):
+        x = step(x)
+    return x
+
+
+_ALGEBRAS = {"pl": PL, "birational": BIRATIONAL}
+
+
+def _draws(regime, poset, rng, count):
+    if regime == "pl":
+        return [PL.array(poset, random_polytope_point(poset, rng)) for _ in range(count)]
     return [random_positive_array(BIRATIONAL, poset, rng) for _ in range(count)]
 
 
-def _regime_samples(poset, rng, count, start=None):
-    if start is not None:
-        return (
-            ("pl", PL, [PL.array(poset, start)]),
-            ("birational", BIRATIONAL, [BIRATIONAL.array(poset, start)]),
-        )
-    return (
-        ("pl", PL, _pl_samples(poset, rng, count)),
-        ("birational", BIRATIONAL, _bir_samples(poset, rng, count)),
-    )
+def _regime_samples(poset, rng, count, start=None, regimes=("pl", "birational")):
+    'Per regime (name, algebra, arrays): the one start, or count fresh draws in turn.'
+    out = []
+    for regime in regimes:
+        alg = _ALGEBRAS[regime]
+        arrays = _draws(regime, poset, rng, count) if start is None else [alg.array(poset, start)]
+        out.append((regime, alg, arrays))
+    return out
 
 
 _IDEAL_MAPS = (("rowmotion", rowmotion_ideal), ("promotion", promotion_ideal))
@@ -115,39 +126,24 @@ def suite_order(poset, samples=100, seed=None, cap=1000, start=None):
     'The (a+b)-th power of rowmotion and of promotion is the identity, in all regimes.'
     a, b = _require_shape(poset, "order")
     n = a + b
-    checks = []
-    for map_name, step in _IDEAL_MAPS:
-        violations = []
-        ideals = enumerate_ideals(poset)
-        for ideal in ideals:
-            cur = ideal
-            for _ in range(n):
-                cur = step(cur)
-            if cur != ideal:
-                violations.append({"start": list(ideal.indices)})
-        checks.append(
-            _check(
-                f"{map_name}-power-{n}-is-identity",
-                "combinatorial",
-                len(ideals),
-                violations,
-            )
-        )
+    names = [f"{map_name}-power-{n}-is-identity" for map_name, _ in _IDEAL_MAPS]
+
+    def ideal_returns(i):
+        return [
+            [] if _power(step, i, n) == i else [{"start": list(i.indices)}]
+            for _, step in _IDEAL_MAPS
+        ]
+
+    checks = _checks("combinatorial", enumerate_ideals(poset), names, ideal_returns)
     rng = seeded_rng(seed)
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
-        for map_name, step in _ARRAY_MAPS:
-            violations = []
-            for f in arrays:
-                cur = f
-                for _ in range(n):
-                    cur = step(alg, cur)
-                if cur != f:
-                    violations.append({"start": _strs(f)})
-            checks.append(
-                _check(
-                    f"{map_name}-power-{n}-is-identity", regime, len(arrays), violations
-                )
-            )
+
+        def returns(f):
+            return [
+                _unless(_power(lambda g: step(alg, g), f, n) == f, f) for _, step in _ARRAY_MAPS
+            ]
+
+        checks += _checks(regime, arrays, names, returns)
     return _report("order", seed, checks)
 
 
@@ -157,25 +153,23 @@ def suite_three_step(poset, samples=100, seed=None, cap=1000, start=None):
     Checked piecewise-linearly on any poset; the birational check is run
     when the poset is a rectangle.
     """
+    regimes = ("pl",) if poset.rectangle_shape is None else ("pl", "birational")
     rng = seeded_rng(seed)
     checks = []
-    if start is not None:
-        regimes = [("pl", PL, [PL.array(poset, start)])]
-        if poset.rectangle_shape is not None:
-            regimes.append(("birational", BIRATIONAL, [BIRATIONAL.array(poset, start)]))
-    else:
-        regimes = [("pl", PL, _pl_samples(poset, rng, samples))]
-        if poset.rectangle_shape is not None:
-            regimes.append(("birational", BIRATIONAL, _bir_samples(poset, rng, samples)))
-    for regime, alg, arrays in regimes:
-        violations = []
-        for f in arrays:
-            if three_step(alg, f) != rowmotion(alg, f):
-                violations.append({"start": _strs(f)})
-        checks.append(
-            _check("three-step-equals-rowmotion", regime, len(arrays), violations)
-        )
+    for regime, alg, arrays in _regime_samples(poset, rng, samples, start, regimes):
+
+        def factors(f):
+            return (_unless(three_step(alg, f) == rowmotion(alg, f), f),)
+
+        checks += _checks(regime, arrays, ["three-step-equals-rowmotion"], factors)
     return _report("three-step", seed, checks)
+
+
+_SHEAR_CHECKS = (
+    "recombination-conjugates-promotion-to-rowmotion",
+    "inverse-shear-conjugates-rowmotion-to-promotion",
+    "shear-round-trip-is-identity",
+)
 
 
 def suite_recombination(poset, samples=100, seed=None, cap=1000, start=None):
@@ -184,36 +178,15 @@ def suite_recombination(poset, samples=100, seed=None, cap=1000, start=None):
     rng = seeded_rng(seed)
     checks = []
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
-        forward = []
-        backward = []
-        round_trip = []
-        for f in arrays:
-            if recombine(alg, promotion(alg, f)) != rowmotion(alg, recombine(alg, f)):
-                forward.append({"start": _strs(f)})
+
+        def probe(f):
+            forward = recombine(alg, promotion(alg, f)) == rowmotion(alg, recombine(alg, f))
             sheared = recombine_inverse(alg, f)
-            if recombine_inverse(alg, rowmotion(alg, f)) != promotion(alg, sheared):
-                backward.append({"start": _strs(f)})
-            if recombine(alg, sheared) != f:
-                round_trip.append({"start": _strs(f)})
-        checks.append(
-            _check(
-                "recombination-conjugates-promotion-to-rowmotion",
-                regime,
-                len(arrays),
-                forward,
-            )
-        )
-        checks.append(
-            _check(
-                "inverse-shear-conjugates-rowmotion-to-promotion",
-                regime,
-                len(arrays),
-                backward,
-            )
-        )
-        checks.append(
-            _check("shear-round-trip-is-identity", regime, len(arrays), round_trip)
-        )
+            backward = recombine_inverse(alg, rowmotion(alg, f)) == promotion(alg, sheared)
+            round_trip = recombine(alg, sheared) == f
+            return _unless(forward, f), _unless(backward, f), _unless(round_trip, f)
+
+        checks += _checks(regime, arrays, _SHEAR_CHECKS, probe)
     return _report("recombination", seed, checks)
 
 
@@ -223,44 +196,78 @@ def suite_reciprocity(poset, samples=100, seed=None, cap=1000, start=None):
     rng = seeded_rng(seed)
     checks = []
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
-        violations = []
-        for f in arrays:
+
+        def probe(f):
             ok, cells = reciprocity_check(alg, f, shape)
-            if not ok:
-                violations.append({"start": _strs(f), "cells": cells[:2]})
-        checks.append(
-            _check("antipodal-reciprocity", regime, len(arrays), violations)
-        )
+            return (_unless(ok, f, cells=cells[:2]),)
+
+        checks += _checks(regime, arrays, ["antipodal-reciprocity"], probe)
     return _report("reciprocity", seed, checks)
+
+
+_QUOTIENT_CHECKS = (
+    "quotient-product-is-neutral",
+    "file-toggle-swaps-adjacent-quotients",
+    "promotion-cycles-quotients-left",
+)
 
 
 def suite_quotient(poset, samples=100, seed=None, cap=1000, start=None):
     'File quotient profile: neutral product, adjacent swaps, cyclic shift.'
     a, b = _require_shape(poset, "quotient")
     rng = seeded_rng(seed)
-    arrays = _bir_samples(poset, rng, samples, start)
-    product_violations = []
-    swap_violations = []
-    shift_violations = []
-    file_count = a + b - 1
-    for f in arrays:
-        q = quotient_sequence(BIRATIONAL, f)
-        total = ONE
-        for value in q:
-            total *= value
-        if total != ONE:
-            product_violations.append({"start": _strs(f), "product": str(total)})
-        bad = [i for i in range(1, file_count + 1) if not file_toggle_swap_check(BIRATIONAL, f, i)]
-        if bad:
-            swap_violations.append({"start": _strs(f), "files": bad})
-        if not promotion_shift_check(BIRATIONAL, f):
-            shift_violations.append({"start": _strs(f)})
-    checks = [
-        _check("quotient-product-is-neutral", "birational", len(arrays), product_violations),
-        _check("file-toggle-swaps-adjacent-quotients", "birational", len(arrays), swap_violations),
-        _check("promotion-cycles-quotients-left", "birational", len(arrays), shift_violations),
-    ]
-    return _report("quotient", seed, checks)
+    ((_, _, arrays),) = _regime_samples(poset, rng, samples, start, ("birational",))
+
+    def probe(f):
+        total = prod(quotient_sequence(BIRATIONAL, f), start=ONE)
+        bad = [i for i in range(1, a + b) if not file_toggle_swap_check(BIRATIONAL, f, i)]
+        return (
+            _unless(total == ONE, f, product=str(total)),
+            _unless(not bad, f, files=bad),
+            _unless(promotion_shift_check(BIRATIONAL, f), f),
+        )
+
+    return _report("quotient", seed, _checks("birational", arrays, _QUOTIENT_CHECKS, probe))
+
+
+def _constancy_probe(alg, map_name, functionals, cap, require_one):
+    """Probe for one functional-constancy check over a run of starts.
+
+    The first start fixes each constant (which must be 1 when
+    require_one); a functional is reported once, at its first failure.
+    """
+    constants = {}
+    failed = set()
+
+    def probe(f):
+        violations = []
+        for name, value in orbit_statistics(alg, map_name, functionals, f, cap=cap).items():
+            if name in failed:
+                continue
+            if name not in constants:
+                constants[name] = value
+                if not require_one or value == ONE:
+                    continue
+                found = {"product": str(value), "expected": "1"}
+            elif value != constants[name]:
+                found = {"statistic": str(value), "constant": str(constants[name])}
+            else:
+                continue
+            failed.add(name)
+            violations.append({"functional": name, "start": _strs(f), **found})
+        return (violations,)
+
+    return probe
+
+
+def _stable_rank(poset, rng, map_name, functionals, count, cap):
+    'Rank audit of count draws, plus count more per round while unstable (RANK_ROUNDS at most).'
+    arrays = _draws("pl", poset, rng, count)
+    rank = homomesy_space_rank(PL, map_name, arrays, functionals, cap=cap)
+    while not rank["stable"] and len(arrays) < RANK_ROUNDS * count:
+        arrays += _draws("pl", poset, rng, count)
+        rank = homomesy_space_rank(PL, map_name, arrays, functionals, cap=cap)
+    return rank
 
 
 def suite_homomesy(poset, samples=50, seed=None, cap=1000, start=None):
@@ -273,86 +280,28 @@ def suite_homomesy(poset, samples=50, seed=None, cap=1000, start=None):
     functionals = standard_functionals(a, b)
     rng = seeded_rng(seed)
     checks = []
-    def constancy_violations(alg, map_name, arrays, require_one):
-        constants = {}
-        violations = []
-        failed = set()
-        for f in arrays:
-            table = orbit_statistics(alg, map_name, functionals, f, cap=cap)
-            for name, value in table.items():
-                if name in failed:
-                    continue
-                if name not in constants:
-                    constants[name] = value
-                    if require_one and value != ONE:
-                        failed.add(name)
-                        violations.append(
-                            {
-                                "functional": name,
-                                "start": _strs(f),
-                                "product": str(value),
-                                "expected": "1",
-                            }
-                        )
-                elif value != constants[name]:
-                    failed.add(name)
-                    violations.append(
-                        {
-                            "functional": name,
-                            "start": _strs(f),
-                            "statistic": str(value),
-                            "constant": str(constants[name]),
-                        }
-                    )
-        return violations
-
+    extra = {"functionals": len(functionals)}
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
         for map_name, _ in _ARRAY_MAPS:
-            violations = constancy_violations(
-                alg, map_name, arrays, require_one=regime == "birational"
-            )
-            checks.append(
-                _check(
-                    f"standard-functionals-homomesic-under-{map_name}",
-                    regime,
-                    len(arrays),
-                    violations,
-                    functionals=len(functionals),
-                )
-            )
+            name = f"standard-functionals-homomesic-under-{map_name}"
+            probe = _constancy_probe(alg, map_name, functionals, cap, regime == "birational")
+            checks += _checks(regime, arrays, [name], probe, **extra)
     vertex_arrays = [vertex_from_ideal(i) for i in enumerate_ideals(poset)]
     for map_name, _ in _ARRAY_MAPS:
-        violations = constancy_violations(PL, map_name, vertex_arrays, require_one=False)
-        checks.append(
-            _check(
-                f"vertex-restricted-homomesy-under-{map_name}",
-                "combinatorial",
-                len(vertex_arrays),
-                violations,
-                functionals=len(functionals),
-            )
-        )
+        name = f"vertex-restricted-homomesy-under-{map_name}"
+        probe = _constancy_probe(PL, map_name, functionals, cap, False)
+        checks += _checks("combinatorial", vertex_arrays, [name], probe, **extra)
+    fields = ("nullspace_dim", "functional_rank")
+
+    def full_rank(r):
+        return ([] if r["pass"] else [{k: r[k] for k in (*fields, "stable")}],)
+
     for map_name, _ in _ARRAY_MAPS:
-        arrays = _pl_samples(poset, rng, max(samples, 2 * poset.size + 2))
-        rank_report = homomesy_space_rank(PL, map_name, arrays, functionals, cap=cap)
-        checks.append(
-            _check(
-                f"homomesy-space-dimension-under-{map_name}",
-                "pl",
-                rank_report["samples"],
-                []
-                if rank_report["pass"]
-                else [
-                    {
-                        "nullspace_dim": rank_report["nullspace_dim"],
-                        "functional_rank": rank_report["functional_rank"],
-                        "stable": rank_report["stable"],
-                    }
-                ],
-                nullspace_dim=rank_report["nullspace_dim"],
-                functional_rank=rank_report["functional_rank"],
-            )
-        )
+        count = max(samples, 2 * poset.size + 2)
+        rank = _stable_rank(poset, rng, map_name, functionals, count, cap)
+        name = f"homomesy-space-dimension-under-{map_name}"
+        summary = {k: rank[k] for k in fields}
+        checks += _checks("pl", [rank], [name], full_rank, count=rank["samples"], **summary)
     return _report("homomesy", seed, checks)
 
 
@@ -367,61 +316,39 @@ def suite_bridge(shapes=BRIDGE_SHAPES, samples=100, seed=None, cap=1000):
     checks = []
     for rows, cols, max_entry in shapes:
         tableaux = [random_tableau(rows, cols, max_entry, rng) for _ in range(samples)]
-        bk_violations = []
-        promo_violations = []
-        order_violations = []
-        for t in tableaux:
+
+        def probe(t):
             arr = tableau_to_array(t)
+            moves = range(1, max_entry)
             bad = [
-                i
-                for i in range(1, max_entry)
-                if tableau_to_array(bender_knuth(t, i)) != file_toggle(PL, arr, i)
+                i for i in moves if tableau_to_array(bender_knuth(t, i)) != file_toggle(PL, arr, i)
             ]
-            if bad:
-                bk_violations.append({"tableau": [list(r) for r in t.rows], "indices": bad})
-            if tableau_to_array(tableau_promotion(t)) != promotion(PL, arr):
-                promo_violations.append({"tableau": [list(r) for r in t.rows]})
-            cur = t
-            for _ in range(max_entry):
-                cur = tableau_promotion(cur)
-            if cur != t:
-                order_violations.append({"tableau": [list(r) for r in t.rows]})
+            promoted = tableau_to_array(tableau_promotion(t)) == promotion(PL, arr)
+            ordered = _power(tableau_promotion, t, max_entry) == t
+            record = {"tableau": [list(r) for r in t.rows]}
+            return (
+                [dict(record, indices=bad)] if bad else [],
+                [] if promoted else [record],
+                [] if ordered else [record],
+            )
+
         label = f"{rows}x{cols}-entries-{max_entry}"
-        checks.append(
-            _check(
-                f"bender-knuth-matches-file-toggle-{label}",
-                "tableau",
-                len(tableaux),
-                bk_violations,
-            )
+        names = (
+            f"bender-knuth-matches-file-toggle-{label}",
+            f"tableau-promotion-matches-pl-promotion-{label}",
+            f"tableau-promotion-power-{max_entry}-is-identity-{label}",
         )
-        checks.append(
-            _check(
-                f"tableau-promotion-matches-pl-promotion-{label}",
-                "tableau",
-                len(tableaux),
-                promo_violations,
-            )
-        )
-        checks.append(
-            _check(
-                f"tableau-promotion-power-{max_entry}-is-identity-{label}",
-                "tableau",
-                len(tableaux),
-                order_violations,
-            )
-        )
+        checks += _checks("tableau", tableaux, names, probe)
     return _report("bridge", seed, checks)
 
 
 def _nonadjacent_pairs(poset):
     covers = set(poset.covers)
-    return [
-        (x, y)
-        for x in range(poset.size)
-        for y in range(x + 1, poset.size)
-        if (x, y) not in covers
-    ]
+    pairs = ((x, y) for x in range(poset.size) for y in range(x + 1, poset.size))
+    return [pair for pair in pairs if pair not in covers]
+
+
+_TOGGLE_CHECKS = ("toggles-are-involutions", "nonadjacent-toggles-commute")
 
 
 def suite_vertex(poset, samples=20, seed=None, cap=1000):
@@ -434,115 +361,79 @@ def suite_vertex(poset, samples=20, seed=None, cap=1000):
     """
     ideals = enumerate_ideals(poset)
     pairs = _nonadjacent_pairs(poset)
-    checks = []
+    elements = range(poset.size)
 
-    violations = [
-        {"ideal": list(i.indices), "element": x}
-        for i in ideals
-        for x in range(poset.size)
-        if toggle_ideal(toggle_ideal(i, x), x) != i
-    ]
-    checks.append(_check("toggles-are-involutions", "combinatorial", len(ideals), violations))
+    def ideal_toggles(i):
+        twice = [x for x in elements if toggle_ideal(toggle_ideal(i, x), x) != i]
+        swapped = [
+            [x, y]
+            for x, y in pairs
+            if toggle_ideal(toggle_ideal(i, x), y) != toggle_ideal(toggle_ideal(i, y), x)
+        ]
+        return (
+            [{"ideal": list(i.indices), "element": x} for x in twice],
+            [{"ideal": list(i.indices), "elements": xy} for xy in swapped],
+        )
 
-    violations = [
-        {"ideal": list(i.indices), "elements": [x, y]}
-        for i in ideals
-        for x, y in pairs
-        if toggle_ideal(toggle_ideal(i, x), y) != toggle_ideal(toggle_ideal(i, y), x)
-    ]
-    checks.append(
-        _check("nonadjacent-toggles-commute", "combinatorial", len(ideals), violations)
-    )
+    checks = _checks("combinatorial", ideals, _TOGGLE_CHECKS, ideal_toggles)
 
     rng = seeded_rng(seed)
     for regime, alg, arrays in _regime_samples(poset, rng, samples):
-        violations = []
-        for f in arrays:
-            bad = [x for x in range(poset.size) if toggle(alg, toggle(alg, f, x), x) != f]
-            if bad:
-                violations.append({"start": _strs(f), "elements": bad})
-        checks.append(_check("toggles-are-involutions", regime, len(arrays), violations))
-        violations = []
-        for f in arrays:
-            bad = [
+
+        def array_toggles(f):
+            twice = [x for x in elements if toggle(alg, toggle(alg, f, x), x) != f]
+            swapped = [
                 [x, y]
                 for x, y in pairs
                 if toggle(alg, toggle(alg, f, x), y) != toggle(alg, toggle(alg, f, y), x)
             ]
-            if bad:
-                violations.append({"start": _strs(f), "pairs": bad[:3]})
-        checks.append(_check("nonadjacent-toggles-commute", regime, len(arrays), violations))
+            return (
+                _unless(not twice, f, elements=twice),
+                _unless(not swapped, f, pairs=swapped[:3]),
+            )
 
-    violations = []
-    for ideal in ideals:
-        vertex = vertex_from_ideal(ideal)
+        checks += _checks(regime, arrays, _TOGGLE_CHECKS, array_toggles)
+
+    def restricts(i):
+        vertex = vertex_from_ideal(i)
+        members = list(i.indices)
         bad = [
-            x
-            for x in range(poset.size)
-            if vertex_from_ideal(toggle_ideal(ideal, x)) != pl_toggle(vertex, x)
+            x for x in elements if vertex_from_ideal(toggle_ideal(i, x)) != pl_toggle(vertex, x)
         ]
-        if bad:
-            violations.append({"ideal": list(ideal.indices), "elements": bad})
-        if vertex_from_ideal(rowmotion_ideal(ideal)) != rowmotion(PL, vertex):
-            violations.append({"ideal": list(ideal.indices), "map": "rowmotion"})
-        if poset.rc is not None and vertex_from_ideal(
-            promotion_ideal(ideal)
-        ) != promotion(PL, vertex):
-            violations.append({"ideal": list(ideal.indices), "map": "promotion"})
-    checks.append(
-        _check("vertex-restriction-equivariance", "combinatorial", len(ideals), violations)
-    )
+        violations = [{"ideal": members, "elements": bad}] if bad else []
+        if vertex_from_ideal(rowmotion_ideal(i)) != rowmotion(PL, vertex):
+            violations.append({"ideal": members, "map": "rowmotion"})
+        if poset.rc is not None and vertex_from_ideal(promotion_ideal(i)) != promotion(PL, vertex):
+            violations.append({"ideal": members, "map": "promotion"})
+        complemented = rowmotion_by_complementation(i) == rowmotion_ideal(i)
+        return violations, [] if complemented else [{"ideal": members}]
 
-    violations = [
-        {"ideal": list(i.indices)}
-        for i in ideals
-        if rowmotion_by_complementation(i) != rowmotion_ideal(i)
-    ]
-    checks.append(
-        _check(
-            "complement-minimals-downclose-equals-rowmotion",
-            "combinatorial",
-            len(ideals),
-            violations,
-        )
-    )
+    names = ["vertex-restriction-equivariance", "complement-minimals-downclose-equals-rowmotion"]
+    checks += _checks("combinatorial", ideals, names, restricts)
 
     extensions = [random_linear_extension(poset, rng) for _ in range(5)]
-    violations = []
-    for ext in extensions:
-        order = list(reversed(ext))
-        for ideal in ideals:
-            cur = ideal
-            for x in order:
-                cur = toggle_ideal(cur, x)
-            if cur != rowmotion_ideal(ideal):
-                violations.append({"extension": ext, "ideal": list(ideal.indices)})
-    checks.append(
-        _check(
-            "reversed-linear-extension-sweep-equals-rowmotion",
-            "combinatorial",
-            len(ideals) * len(extensions),
-            violations,
-        )
-    )
 
-    violations = []
-    for ideal in ideals:
+    def sweeps(pair):
+        ext, ideal = pair
+        if reduce(toggle_ideal, reversed(ext), ideal) == rowmotion_ideal(ideal):
+            return ([],)
+        return ([{"extension": ext, "ideal": list(ideal.indices)}],)
+
+    swept = [(ext, ideal) for ext in extensions for ideal in ideals]
+    name = "reversed-linear-extension-sweep-equals-rowmotion"
+    checks += _checks("combinatorial", swept, [name], sweeps)
+
+    def conjugates(ideal):
         antichain = tuple(
             x for x in ideal.indices if not any(up in ideal for up in poset.upper_covers[x])
         )
-        if down_closure(poset, brouwer_schrijver(poset, antichain)) != rowmotion_ideal(
-            down_closure(poset, antichain)
-        ):
-            violations.append({"antichain": sorted(antichain)})
-    checks.append(
-        _check(
-            "antichain-map-conjugate-to-rowmotion",
-            "combinatorial",
-            len(ideals),
-            violations,
-        )
-    )
+        image = down_closure(poset, brouwer_schrijver(poset, antichain))
+        if image == rowmotion_ideal(down_closure(poset, antichain)):
+            return ([],)
+        return ([{"antichain": sorted(antichain)}],)
+
+    name = "antichain-map-conjugate-to-rowmotion"
+    checks += _checks("combinatorial", ideals, [name], conjugates)
     return _report("vertex", seed, checks)
 
 

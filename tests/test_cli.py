@@ -313,3 +313,28 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "{w,x}"
+
+
+MALFORMED = [
+    ("verify-poset", {"size": 2, "labels": ["a", "b"]}, "covers"),
+    ("verify-poset", [[0, 1]], "object"),
+    ("verify-poset", {"size": 2, "covers": [], "labels": [{"a": 1}, "b"]}, "labels"),
+    ("tableau", {"rows": [[1, 2], [3, 4]]}, "max_entry"),
+]
+
+
+@pytest.mark.parametrize("kind, doc, needle", MALFORMED)
+def test_malformed_input_files_exit_2_without_traceback(tmp_path, kind, doc, needle):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    if kind == "tableau":
+        argv = ["tableau", "to-gt", "--input", str(path)]
+    else:
+        argv = ["verify", "vertex", "--poset", str(path), "--samples", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "togglekit", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert needle in proc.stderr

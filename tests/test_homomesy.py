@@ -13,7 +13,8 @@ from togglekit import (
     standard_functionals,
     vertex_from_ideal,
 )
-from togglekit.homomesy import file_functional, pair_functional, step_map
+from togglekit.homomesy import file_functional, orbit_average_vector, pair_functional, step_map
+from togglekit.orbits import orbit
 from togglekit.posets import enumerate_ideals, rectangle_poset
 from togglekit.rational import ONE, Rat
 from togglekit.sampling import random_polytope_point, random_positive_array, seeded_rng
@@ -136,6 +137,47 @@ def test_homomesy_check_constancy():
         report = homomesy_check(BIRATIONAL, "promotion", fn, g_starts)
         assert report["pass"], report
         assert report["constant"] == "1"
+
+
+def test_homomesy_check_counts_an_iterator_of_starts():
+    poset = grid23()
+    rng = seeded_rng(79)
+    starts = [PL.array(poset, random_polytope_point(poset, rng)) for _ in range(12)]
+    fn = file_functional(2, 3, 2)
+    from_list = homomesy_check(PL, "rowmotion", fn, starts)
+    from_iterator = homomesy_check(PL, "rowmotion", fn, iter(starts))
+    assert from_iterator == from_list
+    assert from_iterator["samples"] == 12
+
+
+@pytest.mark.parametrize("alg", [PL, BIRATIONAL], ids=["pl", "birational"])
+@pytest.mark.parametrize("map_name", ["rowmotion", "promotion"])
+def test_statistics_from_orbit_aggregates_match_per_state_evaluation(alg, map_name):
+    # Arbitrary integer coefficients, zeros and negative exponents included.
+    poset = grid23()
+    rng = seeded_rng(5)
+    fns = [
+        Functional(f"random{k}", [rng.randint(-2, 2) for _ in range(poset.size)])
+        for k in range(6)
+    ]
+    for _ in range(4):
+        if alg is PL:
+            f = PL.array(poset, random_polytope_point(poset, rng))
+        else:
+            f = random_positive_array(BIRATIONAL, poset, rng)
+        states = orbit(step_map(alg, map_name), f).states
+        table = orbit_statistics(alg, map_name, fns, f)
+        for fn in fns:
+            if alg is PL:
+                want = sum(fn.linear_value(s) for s in states) / len(states)
+            else:
+                want = ONE
+                for s in states:
+                    want *= fn.monomial_value(s)
+            assert table[fn.name] == want
+            assert orbit_statistic(alg, map_name, fn, f) == (want, len(states))
+        means = [sum(column) / len(states) for column in zip(*(s.values for s in states))]
+        assert orbit_average_vector(alg, map_name, f) == means
 
 
 def test_orbit_statistics_match_single_calls():

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import bir_array, grid22, pl_array
 from togglekit import BIRATIONAL, PL
-from togglekit.posets import OrderIdeal, Poset, rectangle_poset, triangle_poset
+from togglekit.posets import OrderIdeal, Poset, PosetError, rectangle_poset, triangle_poset
 from togglekit.rational import Rat
 from togglekit.serialize import (
     array_from_json,
@@ -19,7 +19,7 @@ from togglekit.serialize import (
     tableau_from_json,
     tableau_to_json,
 )
-from togglekit.tableaux import Tableau, tableau_to_pattern
+from togglekit.tableaux import Tableau, TableauError, tableau_to_pattern
 
 POSETS = [
     rectangle_poset(2, 2),
@@ -88,3 +88,37 @@ def test_bad_payloads_raise():
         array_from_json(PL, poset, {"values": ["1", "2"]})
     with pytest.raises(Exception):
         tableau_from_json({"rows": [[2, 1]], "max_entry": 3})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[0, 1]],
+        {"size": 2, "labels": ["a", "b"]},
+        {"size": "2", "covers": [], "labels": ["a", "b"]},
+        {"size": 2, "covers": [[0]], "labels": ["a", "b"]},
+        {"size": 2, "covers": [], "labels": [{"a": 1}, "b"]},
+        {"size": 2, "covers": [], "labels": [[["a"]], "b"]},
+        {"size": 2, "covers": [], "labels": ["a", "b"], "rc": [[0, 0], None]},
+        {"size": 2, "covers": [], "labels": ["a", "b"], "rectangle": [2]},
+    ],
+)
+def test_malformed_poset_json_raises_poset_error(doc):
+    with pytest.raises(PosetError):
+        poset_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[1, 2]],
+        {"rows": [[1, 2]]},
+        {"max_entry": 3},
+        {"rows": [[1, None]], "max_entry": 3},
+        {"rows": [1, 2], "max_entry": 3},
+        {"rows": [[1, 2]], "max_entry": "3"},
+    ],
+)
+def test_malformed_tableau_json_raises_tableau_error(doc):
+    with pytest.raises(TableauError):
+        tableau_from_json(doc)

@@ -2,6 +2,7 @@ import pytest
 
 from togglekit.posets import PosetError, rectangle_poset, triangle_poset
 from togglekit.rational import Rat
+from togglekit import verify
 from togglekit.verify import (
     SUITES,
     suite_bridge,
@@ -52,6 +53,43 @@ def test_homomesy_suite_passes():
     _assert_clean(report, "homomesy")
     ranks = [c for c in report["checks"] if "dimension" in c["check"]]
     assert ranks and all(c["nullspace_dim"] == c["functional_rank"] == 3 for c in ranks)
+
+
+@pytest.mark.parametrize("seed", [2012, 3025])
+def test_homomesy_rank_audit_draws_again_while_unstable(seed):
+    # The fifth rank direction of the promotion audit on [4]x[4] first
+    # shows after 27-29 difference vectors at these seeds, so the first
+    # half of the 50 samples has a lower rank than all of them.
+    report = suite_homomesy(rectangle_poset(4, 4), samples=50, seed=seed)
+    assert report["pass"], report
+    ranks = {c["check"]: c for c in report["checks"] if "dimension" in c["check"]}
+    assert all(c["nullspace_dim"] == c["functional_rank"] == 11 for c in ranks.values())
+    assert ranks["homomesy-space-dimension-under-rowmotion"]["inputs"] == 50
+    assert ranks["homomesy-space-dimension-under-promotion"]["inputs"] == 100
+
+
+def test_homomesy_rank_audit_stops_at_four_rounds(monkeypatch):
+    counts = []
+
+    def never_stable(alg, map_name, samples, functionals, cap=1000):
+        counts.append(len(samples))
+        return {
+            "samples": len(samples),
+            "nullspace_dim": 3,
+            "functional_rank": 3,
+            "stable": False,
+            "pass": False,
+        }
+
+    monkeypatch.setattr(verify, "homomesy_space_rank", never_stable)
+    report = suite_homomesy(GRID, samples=12, seed=5)
+    assert counts == [12, 24, 36, 48] * 2
+    ranks = [c for c in report["checks"] if "dimension" in c["check"]]
+    assert [c["inputs"] for c in ranks] == [48, 48]
+    assert not any(c["pass"] for c in ranks)
+    assert ranks[0]["violations"] == [
+        {"nullspace_dim": 3, "functional_rank": 3, "stable": False}
+    ]
 
 
 def test_vertex_suite_passes_on_rectangles_and_triangles():
