@@ -203,9 +203,10 @@ def orbit_average_vector(alg, map_name, f, cap=1000):
     return _means(*_orbit_columns(alg, map_name, f, cap))
 
 
-def homomesy_space_rank(alg, map_name, samples, functionals, cap=1000):
-    """Dimension audit of the homomesic functionals.
+def average_space_rank(alg, map_name, averages, functionals):
+    """Dimension audit of the homomesic functionals, from orbit averages.
 
+    averages holds the orbit-average vector A(f) of each sampled start.
     The space of coefficient vectors whose orbit average is
     sample-independent has dimension p - rank{A(f) - A(f_0)} over the
     sampled starts; the candidate space spanned by the given functionals
@@ -214,10 +215,8 @@ def homomesy_space_rank(alg, map_name, samples, functionals, cap=1000):
     candidates exhaust the homomesies seen by these samples.  Rank
     stability under doubling the sample count is reported alongside.
     """
-    samples = list(samples)
-    if len(samples) < 2:
+    if len(averages) < 2:
         raise ValueError("need at least two sample starts")
-    averages = [orbit_average_vector(alg, map_name, f, cap=cap) for f in samples]
     base = averages[0]
     diffs = [[x - y for x, y in zip(avg, base)] for avg in averages[1:]]
     half = diffs[: max(1, len(diffs) // 2)]
@@ -229,9 +228,15 @@ def homomesy_space_rank(alg, map_name, samples, functionals, cap=1000):
     return {
         "map": map_name,
         "regime": alg.name,
-        "samples": len(samples),
+        "samples": len(averages),
         "nullspace_dim": nullspace_dim,
         "functional_rank": functional_rank,
         "stable": rank_half == rank_full,
         "pass": nullspace_dim == functional_rank and rank_half == rank_full,
     }
+
+
+def homomesy_space_rank(alg, map_name, samples, functionals, cap=1000):
+    'Dimension audit of the homomesic functionals over sampled starts (see average_space_rank).'
+    averages = [orbit_average_vector(alg, map_name, f, cap=cap) for f in samples]
+    return average_space_rank(alg, map_name, averages, functionals)

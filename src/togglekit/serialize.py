@@ -7,7 +7,7 @@ makes reports byte-identical across runs with the same inputs.
 
 import json
 
-from .posets import OrderIdeal, Poset, PosetError, RcEmbedding, sorted_indices
+from .posets import OrderIdeal, Poset, PosetError, RcEmbedding, rectangle_poset, sorted_indices
 from .rational import format_rat, parse_rat
 from .tableaux import GtPattern, Tableau, TableauError
 
@@ -78,13 +78,22 @@ def poset_from_json(obj):
     _check_poset_json(obj)
     rc = obj.get("rc")
     shape = obj.get("rectangle")
-    return Poset(
+    poset = Poset(
         obj["size"],
         [tuple(pair) for pair in obj["covers"]],
         labels=[_label_from_json(lab) for lab in obj["labels"]],
         rc=RcEmbedding(tuple(pos) for pos in rc) if rc is not None else None,
         rectangle_shape=tuple(shape) if shape is not None else None,
     )
+    # The rectangle-only suites trust the shape, so it must be the poset.
+    # Comparing sizes first keeps a huge claimed shape from being built.
+    if shape is not None and (
+        shape[0] * shape[1] != poset.size or poset != rectangle_poset(*shape)
+    ):
+        raise PosetError(
+            f"poset rectangle {shape} does not match its size, covers, labels and rc"
+        )
+    return poset
 
 
 def ideal_to_json(ideal):

@@ -21,7 +21,12 @@ from .birational import (
     reciprocity_check,
 )
 from .dynamics import BIRATIONAL, PL, file_toggle, promotion, rowmotion, toggle, vertex_from_ideal
-from .homomesy import homomesy_space_rank, orbit_statistics, standard_functionals
+from .homomesy import (
+    average_space_rank,
+    orbit_average_vector,
+    orbit_statistics,
+    standard_functionals,
+)
 from .polytopes import pl_toggle, three_step
 from .posets import (
     PosetError,
@@ -261,13 +266,19 @@ def _constancy_probe(alg, map_name, functionals, cap, require_one):
 
 
 def _stable_rank(poset, rng, map_name, functionals, count, cap):
-    'Rank audit of count draws, plus count more per round while unstable (RANK_ROUNDS at most).'
-    arrays = _draws("pl", poset, rng, count)
-    rank = homomesy_space_rank(PL, map_name, arrays, functionals, cap=cap)
-    while not rank["stable"] and len(arrays) < RANK_ROUNDS * count:
-        arrays += _draws("pl", poset, rng, count)
-        rank = homomesy_space_rank(PL, map_name, arrays, functionals, cap=cap)
-    return rank
+    """Rank audit of count draws, plus count more per round while unstable
+    (RANK_ROUNDS at most).  Each draw's orbit is walked once: the average
+    vectors of earlier rounds are kept, not recomputed.
+    """
+    averages = []
+    while True:
+        averages += [
+            orbit_average_vector(PL, map_name, f, cap=cap)
+            for f in _draws("pl", poset, rng, count)
+        ]
+        rank = average_space_rank(PL, map_name, averages, functionals)
+        if rank["stable"] or len(averages) >= RANK_ROUNDS * count:
+            return rank
 
 
 def suite_homomesy(poset, samples=50, seed=None, cap=1000, start=None):

@@ -338,3 +338,20 @@ def test_malformed_input_files_exit_2_without_traceback(tmp_path, kind, doc, nee
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert needle in proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["order", "homomesy", "reciprocity", "quotient"])
+def test_wrong_rectangle_field_exits_2_without_traceback(tmp_path, suite):
+    doc = poset_to_json(triangle_poset(3))
+    doc["rectangle"] = [2, 3]
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "togglekit", "verify", suite, "--poset", str(path),
+         "--samples", "2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "rectangle [2, 3] does not match" in proc.stderr

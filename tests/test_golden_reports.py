@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from togglekit import dynamics, homomesy, tableaux
-from togglekit.dynamics import BIRATIONAL
+from togglekit.dynamics import BIRATIONAL, PL
 from togglekit.kernels import pybitops
 from togglekit.posets import Poset, rectangle_poset, triangle_poset
 from togglekit.rational import ONE, ZERO, Rat
@@ -72,6 +72,10 @@ def _broken_toggles(mp):
 
     mp.setattr(pybitops, "toggle", parity_toggle)
     mp.setattr(dynamics, "_toggled_value", skewed)
+    # The integer sweep lanes bypass _toggled_value; without them every
+    # sweep runs the skewed toggle too.
+    mp.setattr(PL, "sweep", None)
+    mp.setattr(BIRATIONAL, "sweep", None)
 
 
 def _broken_bridge(mp):

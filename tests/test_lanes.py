@@ -1,0 +1,130 @@
+"""The integer sweep lanes against the generic toggle loop as the oracle.
+
+pl_algebra and birational_algebra sweep through exact integer lanes; an
+algebra built from the same rules with ToggleAlgebra(...) has no lane and
+toggles one element at a time through the aggregation rules.  Every
+sweep (rowmotion, promotion, their inverses, each file toggle) must give
+the same array both ways, or raise ZeroDivisionError both ways.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from togglekit import (
+    BIRATIONAL,
+    PL,
+    PArray,
+    ToggleAlgebra,
+    birational_algebra,
+    file_toggle,
+    pl_algebra,
+    promotion,
+    promotion_inverse,
+    rowmotion,
+    rowmotion_inverse,
+)
+from togglekit.posets import rectangle_poset, triangle_poset
+from togglekit.rational import Rat
+
+POSETS = [rectangle_poset(a, b) for a in range(1, 4) for b in range(1, 5)]
+POSETS += [triangle_poset(n) for n in range(1, 5)]
+
+small = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12)
+large = st.fractions(
+    min_value=Fraction(-5), max_value=Fraction(5), max_denominator=10**15
+)
+rationals = st.one_of(small, large).map(Rat)
+
+positive_small = st.fractions(
+    min_value=Fraction(1, 12), max_value=Fraction(9), max_denominator=12
+)
+positive_large = st.fractions(
+    min_value=Fraction(1, 10**9), max_value=Fraction(10**6), max_denominator=10**15
+)
+positive_rationals = st.one_of(positive_small, positive_large).map(Rat)
+
+# Zero entries and cover values summing to zero turn up often.
+signed = st.one_of(st.integers(-2, 2).map(Fraction), small).map(Rat)
+
+
+def reference(alg):
+    'The same rules and boundary as alg, without a sweep lane.'
+    return ToggleAlgebra(
+        alg.name,
+        alg.lower_aggregate,
+        alg.upper_aggregate,
+        alg.recombine,
+        alg.bottom_value,
+        alg.top_value,
+        alg.positive_domain,
+    )
+
+
+def sweeps(poset):
+    'Every sweep of the poset: the four whole-poset maps and each file toggle.'
+    maps = [rowmotion, rowmotion_inverse, promotion, promotion_inverse]
+    maps += [
+        lambda alg, f, k=k: file_toggle(alg, f, k)
+        for k in range(1, len(poset.files) + 1)
+    ]
+    return maps
+
+
+def outcome(sweep, alg, f):
+    try:
+        return sweep(alg, f)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def assert_lane_matches_reference(alg, f):
+    assert alg.sweep is not None
+    oracle = reference(alg)
+    for sweep in sweeps(f.poset):
+        assert outcome(sweep, alg, f) == outcome(sweep, oracle, f)
+
+
+def arrays(draw, alg, entries):
+    poset = draw(st.sampled_from(POSETS))
+    return alg.array(poset, draw(st.lists(entries, min_size=poset.size, max_size=poset.size)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_pl_lane_matches_reference(data):
+    ends = data.draw(st.none() | st.tuples(rationals, rationals))
+    alg = PL if ends is None else pl_algebra(*ends)
+    assert_lane_matches_reference(alg, arrays(data.draw, alg, rationals))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_birational_lane_matches_reference(data):
+    ends = data.draw(st.none() | st.tuples(positive_rationals, positive_rationals))
+    alg = BIRATIONAL if ends is None else birational_algebra(*ends)
+    assert_lane_matches_reference(alg, arrays(data.draw, alg, positive_rationals))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([PL, BIRATIONAL]), st.sampled_from(POSETS), st.data())
+def test_lanes_match_reference_on_unchecked_arrays(alg, poset, data):
+    'PArray(...) skips the positivity check: zeros and signs of every kind.'
+    values = data.draw(st.lists(signed, min_size=poset.size, max_size=poset.size))
+    boundary = data.draw(st.tuples(signed, signed))
+    assert_lane_matches_reference(alg, PArray(poset, values, boundary))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ("0", "1", "1", "1"),  # (1,1) is zero, so L*R/v divides by zero
+        ("1", "1", "-1", "1"),  # the upper covers of (1,1) have parallel sum 1/0
+    ],
+)
+def test_birational_lane_raises_where_the_reference_does(values):
+    f = PArray(rectangle_poset(2, 2), [Rat(v) for v in values], (Rat(1), Rat(1)))
+    for alg in (BIRATIONAL, reference(BIRATIONAL)):
+        with pytest.raises(ZeroDivisionError):
+            file_toggle(alg, f, 2)

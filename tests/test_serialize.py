@@ -109,6 +109,23 @@ def test_malformed_poset_json_raises_poset_error(doc):
 
 
 @pytest.mark.parametrize(
+    "poset, shape",
+    [
+        (triangle_poset(3), [2, 3]),  # same size, other covers and labels
+        (rectangle_poset(2, 3), [3, 2]),  # the transposed rectangle
+        (rectangle_poset(2, 3), [2, 2]),  # wrong size
+        (rectangle_poset(2, 3), [10**9, 10**9]),  # never built
+        (Poset(0, []), [0, 5]),
+    ],
+)
+def test_rectangle_field_must_match_the_poset(poset, shape):
+    doc = poset_to_json(poset)
+    doc["rectangle"] = shape
+    with pytest.raises(PosetError):
+        poset_from_json(doc)
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         [[1, 2]],

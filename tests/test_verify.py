@@ -70,20 +70,29 @@ def test_homomesy_rank_audit_draws_again_while_unstable(seed):
 
 def test_homomesy_rank_audit_stops_at_four_rounds(monkeypatch):
     counts = []
+    walks = []
+    walk = verify.orbit_average_vector
 
-    def never_stable(alg, map_name, samples, functionals, cap=1000):
-        counts.append(len(samples))
+    def counted_walk(alg, map_name, f, cap=1000):
+        walks.append(map_name)
+        return walk(alg, map_name, f, cap=cap)
+
+    def never_stable(alg, map_name, averages, functionals):
+        counts.append(len(averages))
         return {
-            "samples": len(samples),
+            "samples": len(averages),
             "nullspace_dim": 3,
             "functional_rank": 3,
             "stable": False,
             "pass": False,
         }
 
-    monkeypatch.setattr(verify, "homomesy_space_rank", never_stable)
+    monkeypatch.setattr(verify, "orbit_average_vector", counted_walk)
+    monkeypatch.setattr(verify, "average_space_rank", never_stable)
     report = suite_homomesy(GRID, samples=12, seed=5)
     assert counts == [12, 24, 36, 48] * 2
+    # One orbit walk per draw: earlier rounds are not walked again.
+    assert walks == ["rowmotion"] * 48 + ["promotion"] * 48
     ranks = [c for c in report["checks"] if "dimension" in c["check"]]
     assert [c["inputs"] for c in ranks] == [48, 48]
     assert not any(c["pass"] for c in ranks)
