@@ -101,7 +101,13 @@ def _format_ideal(ideal, labels):
     return "{" + ",".join(labels[i] for i in ideal.indices) + "}"
 
 
+def _check_cap(args):
+    if args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
+
+
 def cmd_orbit(args):
+    _check_cap(args)
     poset = _resolve_poset(args)
     labels = _display_labels(poset)
     start = _parse_start(poset, args.regime, args.start)
@@ -144,6 +150,9 @@ def cmd_verify(args):
         raise ValueError(
             f"unknown suite {args.suite!r}; pick one of {', '.join(sorted(SUITES))}"
         ) from None
+    _check_cap(args)
+    if args.samples is not None and args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     seed = args.seed
     if seed is None and os.environ.get("TOGGLEKIT_SEED"):
         seed = int(os.environ["TOGGLEKIT_SEED"])

@@ -1,24 +1,15 @@
-"""Kernel selection: compiled bitset core with a pure-Python fallback.
+"""Bitset kernels for the combinatorial regime.
 
-The compiled module is used when it built successfully, the poset fits in
-64 bits, and TOGGLEKIT_PURE is unset; otherwise the identical pure-Python
-kernels take over.  Callers ask per poset size via kernel_for().
+pybitops is the only kernel.  HAVE_COMPILED and kernel_for() stay
+because perfbench/run.py reads both for the environment record it
+prints with every result.
 """
-
-import os
 
 from . import pybitops
 
-try:
-    from . import _bitops
-except ImportError:
-    _bitops = None
-
-HAVE_COMPILED = _bitops is not None
+HAVE_COMPILED = False
 
 
 def kernel_for(size):
-    'Pick the kernel module for a poset with this many elements.'
-    if _bitops is not None and size <= 64 and not os.environ.get("TOGGLEKIT_PURE"):
-        return _bitops
+    'The kernel module for a poset with this many elements: always pybitops.'
     return pybitops

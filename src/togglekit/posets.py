@@ -4,11 +4,29 @@ Elements carry indices 0..size-1 in a fixed linear extension; for a
 rectangle [a]x[b] that order is by rank i+j-2, then by column j-i.  All
 vector input and output follows this indexing.  Order ideals live as
 bitmasks so exhaustive sweeps over J(P) stay cheap.
+
+Sweep tables.  Once J(P) has been enumerated for a poset, every ideal
+sweep (rowmotion_ideal, promotion_ideal, file_toggle_ideal) passes
+pybitops.sweep a table of that toggle order over J(P), which records
+each image the first time its mask is swept.  Tables are keyed by the
+contents of the order tuple, never by the name of a map, so a changed
+order gets a table of its own.  A table is valid only for the poset's
+own cover masks.  The kernel's plain toggle loop is the oracle: it
+answers misses, masks outside J(P), and every sweep of a poset whose
+J(P) was never enumerated, which builds no table.
+
+Enumeration is refused, with a PosetError, when J(P) would hold more
+than MAX_IDEALS order ideals: rectangles are checked against the exact
+binomial before enumerating, other posets by a running count.
 """
 
 from functools import cached_property, reduce
+from math import comb
 
-from .kernels import kernel_for
+from .kernels import pybitops
+
+# Most order ideals any enumeration of J(P) may produce.
+MAX_IDEALS = 10**6
 
 
 class PosetError(ValueError):
@@ -94,6 +112,11 @@ class Poset:
         self.rc = rc
         self.rectangle_shape = rectangle_shape
         self._check_irredundant()
+        self._ideal_masks = None  # J(P) sorted, once enumerated
+        self._sweep_tables = {}  # toggle order tuple -> (masks, images)
+        # The last (order, table) served: repeated sweeps of one order skip
+        # hashing the order tuple.
+        self._last_table = (None, None)
 
     def _check_irredundant(self):
         below = self.strict_down_masks
@@ -204,6 +227,22 @@ class Poset:
         except KeyError:
             raise PosetError(f"no element labelled {label!r}") from None
 
+    def sweep_table(self, order):
+        """The (masks, images) sweep table of a toggle order over J(P).
+
+        None until J(P) has been enumerated; see the module docstring.
+        """
+        masks = self._ideal_masks
+        if masks is None:
+            return None
+        last_order, table = self._last_table
+        if order is not last_order:
+            table = self._sweep_tables.get(order)
+            if table is None:
+                table = self._sweep_tables[order] = (masks, [None] * len(masks))
+            self._last_table = (order, table)
+        return table
+
     def leq(self, x, y):
         'True when x <= y in the order.'
         return x == y or bool(self.strict_down_masks[y] & (1 << x))
@@ -231,6 +270,8 @@ class Poset:
         return self.size
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Poset)
             and self.size == other.size
@@ -370,15 +411,15 @@ def toggle_ideal(ideal, x):
     poset = ideal.poset
     if not 0 <= x < poset.size:
         raise PosetError(f"element index {x} out of range")
-    kern = kernel_for(poset.size)
-    mask = kern.toggle(ideal.mask, poset.lower_masks[x], poset.upper_masks[x], 1 << x)
+    mask = pybitops.toggle(ideal.mask, poset.lower_masks[x], poset.upper_masks[x], 1 << x)
     return OrderIdeal.from_mask(poset, mask, validate=False)
 
 
 def _sweep(ideal, order):
     poset = ideal.poset
-    kern = kernel_for(poset.size)
-    mask = kern.sweep(ideal.mask, order, poset.lower_masks, poset.upper_masks)
+    mask = pybitops.sweep(
+        ideal.mask, order, poset.lower_masks, poset.upper_masks, poset.sweep_table(order)
+    )
     return OrderIdeal.from_mask(poset, mask, validate=False)
 
 
@@ -436,9 +477,25 @@ def brouwer_schrijver(poset, antichain):
 
 
 def enumerate_ideal_masks(poset):
-    'All of J(P) as bitmasks, each exactly once, deterministic order.'
-    kern = kernel_for(poset.size)
-    return kern.enumerate_ideals(poset.size, poset.lower_masks)
+    """All of J(P) as bitmasks, each exactly once, deterministic order.
+
+    Raises PosetError when J(P) has more than MAX_IDEALS members.
+    """
+    if poset.rectangle_shape is not None:
+        a, b = poset.rectangle_shape
+        count = comb(a + b, a)
+        if count > MAX_IDEALS:
+            raise PosetError(
+                f"[{a}]x[{b}] has {count} order ideals, more than the limit of {MAX_IDEALS}"
+            )
+    masks = pybitops.enumerate_ideals(poset.size, poset.lower_masks, MAX_IDEALS)
+    if len(masks) > MAX_IDEALS:
+        raise PosetError(
+            f"poset of size {poset.size} has more than {MAX_IDEALS} order ideals"
+        )
+    if poset._ideal_masks is None:
+        poset._ideal_masks = sorted(masks)
+    return masks
 
 
 def enumerate_ideals(poset):

@@ -243,6 +243,29 @@ def test_bad_shape_strings(capsys):
         assert code == 2, shape
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "order", "--shape", "2x2", "--samples", "-1"),
+        ("verify", "order", "--shape", "2x2", "--cap", "0"),
+        ("orbit", "--regime", "pl", "--shape", "2x2", "--start", "1,1,1,1", "--cap", "0"),
+        ("orbit", "--regime", "combinatorial", "--shape", "2x2", "--start", "w", "--cap", "-1"),
+    ],
+)
+def test_negative_samples_and_cap_below_one_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
+def test_verify_order_refuses_too_many_ideals(capsys):
+    code, out, err = run_cli(capsys, "verify", "order", "--shape", "15x15", "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert "155117520 order ideals" in err and err.count("\n") == 1
+
+
 def test_tableau_to_gt(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(T_JSON))

@@ -58,7 +58,6 @@ def _first_member_files(mp):
 
 
 def _broken_toggles(mp):
-    mp.setenv("TOGGLEKIT_PURE", "1")
     toggle = pybitops.toggle
 
     def parity_toggle(mask, lower, upper, bit):

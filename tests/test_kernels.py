@@ -1,12 +1,5 @@
-import pytest
-
 from togglekit.kernels import HAVE_COMPILED, kernel_for, pybitops
 from togglekit.posets import rectangle_poset, triangle_poset
-
-if HAVE_COMPILED:
-    from togglekit.kernels import _bitops
-else:
-    _bitops = None
 
 POSETS = [
     rectangle_poset(2, 2),
@@ -53,44 +46,6 @@ def test_sweep_matches_elementwise_toggles():
             assert pybitops.sweep(mask, order, lows, ups) == expected
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-def test_compiled_matches_pure():
-    for poset in POSETS:
-        lows, ups = poset.lower_masks, poset.upper_masks
-        pure = pybitops.enumerate_ideals(poset.size, lows)
-        fast = _bitops.enumerate_ideals(poset.size, lows)
-        assert sorted(fast) == sorted(pure)
-        for order in (poset.rowmotion_order, poset.promotion_order):
-            assert list(_bitops.sweep_many(pure, order, lows, ups)) == list(
-                pybitops.sweep_many(pure, order, lows, ups)
-            )
-        for mask in pure:
-            for i in range(poset.size):
-                assert _bitops.toggle(mask, lows[i], ups[i], 1 << i) == pybitops.toggle(
-                    mask, lows[i], ups[i], 1 << i
-                )
-
-
-def test_sweep_many_applies_sweep_to_each():
-    poset = rectangle_poset(2, 3)
-    lows, ups = poset.lower_masks, poset.upper_masks
-    order = poset.rowmotion_order
-    masks = pybitops.enumerate_ideals(poset.size, lows)
-    assert pybitops.sweep_many(masks, order, lows, ups) == [
-        pybitops.sweep(m, order, lows, ups) for m in masks
-    ]
-
-
-def test_kernel_for_size_cutoff(monkeypatch):
-    monkeypatch.delenv("TOGGLEKIT_PURE", raising=False)
-    assert kernel_for(200) is pybitops
-    if HAVE_COMPILED:
-        assert kernel_for(16) is _bitops
-        assert kernel_for(64) is _bitops
-        assert kernel_for(65) is pybitops
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-def test_pure_env_forces_fallback(monkeypatch):
-    monkeypatch.setenv("TOGGLEKIT_PURE", "1")
-    assert kernel_for(16) is pybitops
+def test_kernel_for_returns_pure_kernel():
+    assert not HAVE_COMPILED
+    assert kernel_for(16) is kernel_for(200) is pybitops

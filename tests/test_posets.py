@@ -1,5 +1,6 @@
 import pytest
 
+from togglekit import posets
 from togglekit.posets import (
     OrderIdeal,
     Poset,
@@ -180,6 +181,23 @@ def test_complementation_route_equals_rowmotion():
 def test_enumerate_ideals_counts():
     assert len(enumerate_ideals(rectangle_poset(2, 2))) == 6
     assert len(enumerate_ideals(rectangle_poset(4, 4))) == 70
+
+
+def test_enumeration_refuses_too_many_ideals():
+    with pytest.raises(PosetError, match=r"\[15\]x\[15\] has 155117520 order ideals"):
+        enumerate_ideals(rectangle_poset(15, 15))
+    with pytest.raises(PosetError, match="more than 1000000 order ideals"):
+        enumerate_ideals(Poset(25, []))
+
+
+def test_ideal_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(posets, "MAX_IDEALS", 70)
+    assert len(enumerate_ideals(rectangle_poset(4, 4))) == 70
+    with pytest.raises(PosetError):
+        enumerate_ideals(rectangle_poset(4, 5))
+    assert len(enumerate_ideals(Poset(6, []))) == 64
+    with pytest.raises(PosetError):
+        enumerate_ideals(Poset(7, []))
 
 
 def test_index_of_unknown_label():
