@@ -28,7 +28,7 @@ def _diagonal_indices(poset):
     'Diagonal depth of each element: 0 on the bottom-left diagonal, up by 2 in rank+col.'
     if poset.rc is None:
         raise PosetError("recombination needs an rc embedding")
-    diag = [r + c for c, r in poset.rc.positions]
+    diag = [r + c for c, r in poset.rc]
     base = min(diag)
     if any((d - base) % 2 for d in diag):
         raise PosetError("rc embedding is not diagonally graded")

@@ -199,7 +199,7 @@ def _rank_rows(f):
     poset = f.poset
     order = sorted(
         range(poset.size),
-        key=lambda i: (-poset.ranks[i], -poset.rc.positions[i][0]),
+        key=lambda i: (-poset.ranks[i], -poset.rc[i][0]),
     )
     rows = []
     for i in order:

@@ -20,21 +20,25 @@ from bisect import bisect_left
 
 
 def enumerate_ideals(size, lower_masks, limit=None):
-    """All down-closed masks, each exactly once, in a deterministic order.
+    """All down-closed masks, each exactly once, in ascending order.
 
     lower_masks[i] may only reference indices below i, i.e. the index
     order must be a linear extension (the Poset constructor arranges
-    this before calling).  With a limit, the enumeration stops as soon
-    as it holds more than limit masks and returns those, so a result
-    longer than limit means J(P) is larger than limit.
+    this before calling).  Step i appends masks with bit i set, each
+    larger than every earlier mask.  With a limit, the enumeration stops
+    once it holds limit + 1 masks, so a result longer than limit means
+    J(P) is larger than limit.
     """
     masks = [0]
     for i in range(size):
         low = lower_masks[i]
         bit = 1 << i
-        masks += [m | bit for m in masks if m & low == low]
-        if limit is not None and len(masks) > limit:
-            break
+        for k in range(len(masks)):
+            m = masks[k]
+            if m & low == low:
+                masks.append(m | bit)
+                if limit is not None and len(masks) > limit:
+                    return masks
     return masks
 
 

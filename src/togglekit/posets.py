@@ -5,6 +5,13 @@ rectangle [a]x[b] that order is by rank i+j-2, then by column j-i.  All
 vector input and output follows this indexing.  Order ideals live as
 bitmasks so exhaustive sweeps over J(P) stay cheap.
 
+Derived facts.  A poset is its size, covers, labels and rc, integer
+(column, rank) pairs (see Poset); everything else is computed from those
+on first use and kept.  rectangle_shape is (a, b) exactly when the poset
+equals rectangle_poset(a, b), labels and rc included.  J(P) is
+enumerated once per poset, in ascending order, and that one list is
+shared by every caller, the sweep tables included.
+
 Sweep tables.  Once J(P) has been enumerated for a poset, every ideal
 sweep (rowmotion_ideal, promotion_ideal, file_toggle_ideal) passes
 pybitops.sweep a table of that toggle order over J(P), which records
@@ -33,30 +40,6 @@ class PosetError(ValueError):
     'Bad poset data, or a set of the wrong kind fed to an order operation.'
 
 
-class RcEmbedding:
-    """Rank/column placement of the elements in the plane.
-
-    positions[i] is an integer (column, rank) pair; every cover relation
-    must climb exactly one rank while moving one column left or right.
-    A file is the set of elements sharing a column.
-    """
-
-    __slots__ = ("positions",)
-
-    def __init__(self, positions):
-        positions = tuple((int(c), int(r)) for c, r in positions)
-        self.positions = positions
-
-    def __eq__(self, other):
-        return isinstance(other, RcEmbedding) and self.positions == other.positions
-
-    def __hash__(self):
-        return hash(self.positions)
-
-    def __repr__(self):
-        return f"RcEmbedding({list(self.positions)})"
-
-
 class Poset:
     """Finite poset given by an irredundant list of cover relations.
 
@@ -64,9 +47,14 @@ class Poset:
     transitivity is rejected rather than repaired, and the index order
     must be a linear extension (every cover goes from a smaller index to
     a larger one); constructors in this module arrange that for you.
+
+    rc, when given, places the elements in the plane: rc[i] is an integer
+    (column, rank) pair, and every cover must climb exactly one rank
+    while moving one column left or right.  A file is the set of
+    elements sharing a column.
     """
 
-    def __init__(self, size, covers, labels=None, rc=None, rectangle_shape=None):
+    def __init__(self, size, covers, labels=None, rc=None):
         size = int(size)
         if size < 0:
             raise PosetError(f"negative size {size}")
@@ -96,23 +84,21 @@ class Poset:
             if len(set(labels)) != size:
                 raise PosetError("labels must be distinct")
         self.labels = labels
-        if rc is not None and not isinstance(rc, RcEmbedding):
-            rc = RcEmbedding(rc)
         if rc is not None:
-            if len(rc.positions) != size:
-                raise PosetError(f"{len(rc.positions)} rc positions for {size} elements")
+            rc = tuple((int(c), int(r)) for c, r in rc)
+            if len(rc) != size:
+                raise PosetError(f"{len(rc)} rc positions for {size} elements")
             for lo, hi in self.covers:
-                dc = rc.positions[hi][0] - rc.positions[lo][0]
-                dr = rc.positions[hi][1] - rc.positions[lo][1]
+                dc = rc[hi][0] - rc[lo][0]
+                dr = rc[hi][1] - rc[lo][1]
                 if dr != 1 or dc not in (1, -1):
                     raise PosetError(
                         f"cover {self.labels[lo]} < {self.labels[hi]} moves by "
                         f"({dc},{dr}); rc covers must move one rank up and one column sideways"
                     )
         self.rc = rc
-        self.rectangle_shape = rectangle_shape
         self._check_irredundant()
-        self._ideal_masks = None  # J(P) sorted, once enumerated
+        self._ideal_masks = None  # J(P), ascending, once enumerated
         self._sweep_tables = {}  # toggle order tuple -> (masks, images)
         # The last (order, table) served: repeated sweeps of one order skip
         # hashing the order tuple.
@@ -175,8 +161,8 @@ class Poset:
         'rc rank when embedded (shifted to start at 0), else chain height.'
         if self.rc is None:
             return self.heights
-        base = min((r for _, r in self.rc.positions), default=0)
-        return tuple(r - base for _, r in self.rc.positions)
+        base = min((r for _, r in self.rc), default=0)
+        return tuple(r - base for _, r in self.rc)
 
     @cached_property
     def files(self):
@@ -186,9 +172,9 @@ class Poset:
         """
         if self.rc is None:
             raise PosetError("poset has no rc embedding, so no files")
-        cols = sorted({c for c, _ in self.rc.positions})
+        cols = sorted({c for c, _ in self.rc})
         by_col = {c: [] for c in cols}
-        for i, (c, _) in enumerate(self.rc.positions):
+        for i, (c, _) in enumerate(self.rc):
             by_col[c].append(i)
         return tuple(tuple(by_col[c]) for c in cols)
 
@@ -216,6 +202,24 @@ class Poset:
     def promotion_order(self):
         'Toggle order for promotion: files left to right, index ascending inside a file.'
         return tuple(i for members in self.files for i in members)
+
+    @cached_property
+    def rectangle_shape(self):
+        """(a, b) when this poset equals rectangle_poset(a, b), else None.
+
+        The candidate is the last label, (a, b) in the canonical order; it
+        is built only when a*b equals the size.
+        """
+        shape = self.labels[-1] if self.labels else None
+        if (
+            isinstance(shape, tuple)
+            and len(shape) == 2
+            and all(type(side) is int and side >= 1 for side in shape)
+            and shape[0] * shape[1] == self.size
+            and self == rectangle_poset(*shape)
+        ):
+            return shape
+        return None
 
     @cached_property
     def label_index(self):
@@ -307,7 +311,7 @@ def rectangle_poset(a, b):
         if j < b:
             covers.append((k, index[(i, j + 1)]))
     rc = [(j - i, i + j - 2) for (i, j) in elems]
-    return Poset(len(elems), covers, labels=elems, rc=rc, rectangle_shape=(a, b))
+    return Poset(len(elems), covers, labels=elems, rc=rc)
 
 
 def triangle_poset(n):
@@ -477,10 +481,15 @@ def brouwer_schrijver(poset, antichain):
 
 
 def enumerate_ideal_masks(poset):
-    """All of J(P) as bitmasks, each exactly once, deterministic order.
+    """All of J(P) as bitmasks, each exactly once, in ascending order.
 
+    J(P) is enumerated once per poset; every later call returns the same
+    list, which the sweep tables share, so callers must not change it.
     Raises PosetError when J(P) has more than MAX_IDEALS members.
     """
+    masks = poset._ideal_masks
+    if masks is not None:
+        return masks
     if poset.rectangle_shape is not None:
         a, b = poset.rectangle_shape
         count = comb(a + b, a)
@@ -493,8 +502,7 @@ def enumerate_ideal_masks(poset):
         raise PosetError(
             f"poset of size {poset.size} has more than {MAX_IDEALS} order ideals"
         )
-    if poset._ideal_masks is None:
-        poset._ideal_masks = sorted(masks)
+    poset._ideal_masks = masks
     return masks
 
 

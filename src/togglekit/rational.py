@@ -1,27 +1,15 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Every value in the library is an arbitrary-precision rational; floats are
-never used.  gmpy2.mpq is picked when importable (it is roughly an order
-of magnitude faster), with fractions.Fraction as the drop-in fallback.
-Set TOGGLEKIT_PURE=1 to force the stdlib backend.  Both types reduce
-automatically, compare exactly, and print as "p/q" (just "p" when the
-denominator is 1), so serialized output is identical either way.
+never used.  Rat is fractions.Fraction: it reduces automatically,
+compares exactly, and prints as "p/q" (just "p" when the denominator is
+1).  BACKEND names it for the environment records of benchmark runs.
 """
 
-import os
 from fractions import Fraction
 
-if os.environ.get("TOGGLEKIT_PURE"):
-    Rat = Fraction
-    BACKEND = "fractions"
-else:
-    try:
-        from gmpy2 import mpq as Rat
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        Rat = Fraction
-        BACKEND = "fractions"
+Rat = Fraction
+BACKEND = "fractions"
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -29,8 +17,6 @@ ONE = Rat(1)
 
 def rat(numerator, denominator=None):
     'Build an exact rational from ints, strings, or another rational.'
-    if denominator is None:
-        return Rat(numerator)
     return Rat(numerator, denominator)
 
 

@@ -44,7 +44,7 @@ def random_polytope_point(poset, rng, denominator=20):
 
 
 def random_ideal(poset, rng):
-    'A uniformly random order ideal (the poset must be small enough to enumerate).'
+    "A uniformly random order ideal, drawn from the poset's one enumeration of J(P)."
     masks = enumerate_ideal_masks(poset)
     return OrderIdeal.from_mask(poset, rng.choice(masks))
 

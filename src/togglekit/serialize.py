@@ -1,13 +1,13 @@
 """JSON encoding and decoding for posets, ideals, arrays, and tableaux.
 
-Rationals travel as reduced "p/q" strings so files are exact and
-backend-independent.  dumps_canonical fixes key order and spacing, which
-makes reports byte-identical across runs with the same inputs.
+Rationals travel as reduced "p/q" strings so files are exact.
+dumps_canonical fixes key order and spacing, which makes reports
+byte-identical across runs with the same inputs.
 """
 
 import json
 
-from .posets import OrderIdeal, Poset, PosetError, RcEmbedding, rectangle_poset, sorted_indices
+from .posets import OrderIdeal, Poset, PosetError, sorted_indices
 from .rational import format_rat, parse_rat
 from .tableaux import GtPattern, Tableau, TableauError
 
@@ -68,7 +68,7 @@ def poset_to_json(poset):
         "covers": [list(pair) for pair in poset.covers],
     }
     if poset.rc is not None:
-        out["rc"] = [list(pos) for pos in poset.rc.positions]
+        out["rc"] = [list(pos) for pos in poset.rc]
     if poset.rectangle_shape is not None:
         out["rectangle"] = list(poset.rectangle_shape)
     return out
@@ -76,20 +76,15 @@ def poset_to_json(poset):
 
 def poset_from_json(obj):
     _check_poset_json(obj)
-    rc = obj.get("rc")
     shape = obj.get("rectangle")
     poset = Poset(
         obj["size"],
         [tuple(pair) for pair in obj["covers"]],
         labels=[_label_from_json(lab) for lab in obj["labels"]],
-        rc=RcEmbedding(tuple(pos) for pos in rc) if rc is not None else None,
-        rectangle_shape=tuple(shape) if shape is not None else None,
+        rc=obj.get("rc"),
     )
-    # The rectangle-only suites trust the shape, so it must be the poset.
-    # Comparing sizes first keeps a huge claimed shape from being built.
-    if shape is not None and (
-        shape[0] * shape[1] != poset.size or poset != rectangle_poset(*shape)
-    ):
+    # The shape is derived from the poset; a claimed one must agree.
+    if shape is not None and tuple(shape) != poset.rectangle_shape:
         raise PosetError(
             f"poset rectangle {shape} does not match its size, covers, labels and rc"
         )

@@ -31,8 +31,14 @@ def test_ideal_counts_on_grids():
 def test_enumerated_masks_are_ideals_and_unique():
     for poset in POSETS:
         masks = pybitops.enumerate_ideals(poset.size, poset.lower_masks)
-        assert len(set(masks)) == len(masks)
+        assert masks == sorted(set(masks))
         assert all(poset.is_ideal_mask(m) for m in masks)
+
+
+def test_enumeration_stops_at_limit_plus_one():
+    # 2**25 ideals on an antichain of 25; only limit + 1 are ever held.
+    limit = 2**16
+    assert len(pybitops.enumerate_ideals(25, [0] * 25, limit)) == limit + 1
 
 
 def test_sweep_matches_elementwise_toggles():

@@ -82,6 +82,33 @@ def test_poset_validation():
         Poset(2, [(0, 1)], rc=[(0, 0), (5, 1)])
 
 
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 5) for b in range(1, 5)])
+def test_rectangle_shape_is_derived(a, b):
+    assert rectangle_poset(a, b).rectangle_shape == (a, b)
+
+
+def test_hand_built_rectangle_gets_its_shape():
+    r = rectangle_poset(2, 3)
+    assert Poset(r.size, r.covers, labels=r.labels, rc=r.rc).rectangle_shape == (2, 3)
+
+
+def _off_rectangles():
+    r = rectangle_poset(2, 3)
+    return [triangle_poset(n) for n in range(1, 5)] + [
+        Poset(r.size, r.covers, labels=[str(lab) for lab in r.labels], rc=r.rc),
+        Poset(r.size, r.covers, labels=r.labels),  # no rc
+        Poset(1, [], labels=[(1.5, 1)]),
+        Poset(1, [], labels=[(True, True)]),
+        Poset(1, [], labels=[(10**9, 10**9)]),  # the size rules it out unbuilt
+        Poset(0, []),
+    ]
+
+
+@pytest.mark.parametrize("poset", _off_rectangles(), ids=lambda p: repr(p.labels[-1:]))
+def test_rectangle_shape_is_none_off_rectangles(poset):
+    assert poset.rectangle_shape is None
+
+
 def test_heights_and_extremes():
     p = rectangle_poset(2, 3)
     assert p.minimal_elements == (0,)

@@ -13,12 +13,15 @@ from togglekit.posets import (
     OrderIdeal,
     Poset,
     enumerate_ideal_masks,
+    enumerate_ideals,
     file_toggle_ideal,
     promotion_ideal,
     rectangle_poset,
     rowmotion_ideal,
     triangle_poset,
 )
+from togglekit.sampling import random_ideal, seeded_rng
+from togglekit.verify import SUITES
 
 SHAPES = [(a, b) for a in range(1, 5) for b in range(1, 5)]
 
@@ -102,3 +105,29 @@ def test_one_kernel_sweep_per_ideal_step(monkeypatch):
     for ideal in ideals + ideals:
         rowmotion_ideal(ideal)
     assert calls == masks + masks
+
+
+@pytest.mark.parametrize("poset", _posets(), ids=repr)
+def test_ideal_masks_are_one_ascending_list(poset):
+    masks = enumerate_ideal_masks(poset)
+    assert isinstance(masks, list)
+    assert masks == sorted(set(masks))
+    assert enumerate_ideal_masks(poset) is masks
+
+
+def test_ideal_masks_are_enumerated_once_per_poset(monkeypatch):
+    poset = rectangle_poset(3, 3)
+    calls = []
+    enumerate_masks = pybitops.enumerate_ideals
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return enumerate_masks(*args, **kwargs)
+
+    monkeypatch.setattr(pybitops, "enumerate_ideals", counted)
+    enumerate_ideals(poset)
+    assert SUITES["order"](poset, samples=2, seed=1)["pass"]
+    rng = seeded_rng(7)
+    for _ in range(25):
+        random_ideal(poset, rng)
+    assert calls == [poset.size]

@@ -1,6 +1,6 @@
 import pytest
 
-from togglekit.posets import PosetError, rectangle_poset, triangle_poset
+from togglekit.posets import Poset, PosetError, rectangle_poset, triangle_poset
 from togglekit.rational import Rat
 from togglekit import verify
 from togglekit.verify import (
@@ -123,6 +123,16 @@ def test_rectangle_only_suites_reject_other_posets():
     for name in ("order", "recombination", "reciprocity", "quotient", "homomesy"):
         with pytest.raises(PosetError):
             SUITES[name](tri, samples=2, seed=1)
+
+
+@pytest.mark.parametrize(
+    "name", ["order", "recombination", "reciprocity", "quotient", "homomesy"]
+)
+def test_rectangle_suites_refuse_a_hand_built_triangle(name):
+    tri = triangle_poset(3)
+    hand_built = Poset(tri.size, tri.covers, labels=tri.labels, rc=tri.rc)
+    with pytest.raises(PosetError, match="needs a rectangle shape"):
+        SUITES[name](hand_built, samples=2, seed=1)
 
 
 def test_reports_are_seed_deterministic():
