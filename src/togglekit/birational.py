@@ -8,13 +8,7 @@ Every function takes the algebra as an argument, so the piecewise-linear
 (max-plus) forms of the same identities come out of the same code.
 """
 
-from .dynamics import (
-    BIRATIONAL,
-    file_toggle,
-    promotion,
-    promotion_inverse,
-    rowmotion,
-)
+from .dynamics import BIRATIONAL, file_toggle, iterate, promotion, rowmotion
 from .polytopes import three_step
 from .posets import PosetError
 
@@ -24,8 +18,12 @@ def birational_three_step(f):
     return three_step(BIRATIONAL, f)
 
 
-def _diagonal_indices(poset):
+def _depths(poset, experimental):
     'Diagonal depth of each element: 0 on the bottom-left diagonal, up by 2 in rank+col.'
+    if poset.rectangle_shape is None and not experimental:
+        raise PosetError(
+            "recombination beyond rectangles is experimental; pass experimental=True"
+        )
     if poset.rc is None:
         raise PosetError("recombination needs an rc embedding")
     diag = [r + c for c, r in poset.rc]
@@ -43,20 +41,6 @@ def rowmotion_iterates(alg, f, count):
     return out
 
 
-def _shear(alg, f, step, experimental):
-    'Entry x of the result comes from iterate depth(x) of the step map.'
-    poset = f.poset
-    if poset.rectangle_shape is None and not experimental:
-        raise PosetError(
-            "recombination beyond rectangles is experimental; pass experimental=True"
-        )
-    depth = _diagonal_indices(poset)
-    iterates = [f]
-    for _ in range(max(depth)):
-        iterates.append(step(alg, iterates[-1]))
-    return f._replace([iterates[depth[x]][x] for x in range(poset.size)])
-
-
 def recombine(alg, f, experimental=False):
     """Shear the inverse-promotion iterates along diagonals.
 
@@ -70,7 +54,8 @@ def recombine(alg, f, experimental=False):
     diagonal depth (rank+col)/2; that extension is untested territory,
     so it must be requested with experimental=True.
     """
-    return _shear(alg, f, promotion_inverse, experimental)
+    depths = _depths(f.poset, experimental)
+    return iterate(alg, f, f.poset.promotion_order[::-1], depths)
 
 
 def recombine_inverse(alg, f, experimental=False):
@@ -82,7 +67,7 @@ def recombine_inverse(alg, f, experimental=False):
     promotion(recombine_inverse(f)), and it carries the rowmotion orbit
     of f row-for-row onto the promotion orbit of its image.
     """
-    return _shear(alg, f, rowmotion, experimental)
+    return iterate(alg, f, f.poset.rowmotion_order, _depths(f.poset, experimental))
 
 
 def reciprocity_check(alg, f, shape):
@@ -95,12 +80,13 @@ def reciprocity_check(alg, f, shape):
     """
     a, b = shape
     poset = f.poset
-    iterates = rowmotion_iterates(alg, f, a + b - 1)
+    # The entry at label (i, j) is read from rowmotion power i + j - 1.
+    walk = iterate(alg, f, poset.rowmotion_order, [i + j - 1 for i, j in poset.labels])
     violations = []
     for i in range(1, a + 1):
         for j in range(1, b + 1):
             power = a + b + 1 - i - j
-            got = iterates[power].at((a + 1 - i, b + 1 - j))
+            got = walk.at((a + 1 - i, b + 1 - j))
             want = alg.reflect(f.at((i, j)))
             if got != want:
                 violations.append(

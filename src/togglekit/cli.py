@@ -312,6 +312,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse drops a "--" value, so "--cap=--" parses to []; no option takes a list.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name}: expected one argument")
     try:
         return args.func(args)
     except OrbitError as exc:

@@ -13,24 +13,26 @@ and a virtual top above the maximal ones; their values are the algebra's
 boundary pair, (0, 1) for piecewise-linear and (1, 1) for birational by
 default.
 
-Sweeps (rowmotion, promotion, their inverses and file toggles) of the two
-built-in regimes run in exact integer lanes, which pl_algebra and
-birational_algebra put in the algebra's sweep slot:
+Sweeps (rowmotion, promotion, their inverses and file toggles) are
+walks: iterate(alg, f, order, times) reads entry x after times[x] sweeps
+of order.  pl_algebra and birational_algebra put exact integer lanes in
+the algebra's sweep slot; a lane converts f once, stays in ints for the
+whole walk and builds one rational per read entry:
 
 - The piecewise-linear lane scales the values and the boundary by D, the
   lcm of all their denominators.  max, min, + and - map the lattice
-  (1/D)Z^P to itself, so every toggle is int arithmetic and each touched
-  entry becomes a rational once, at the end of the sweep.
+  (1/D)Z^P to itself, so D is fixed over the walk and every toggle is
+  int arithmetic.
 - The birational lane holds each value as a (numerator, denominator)
   pair, builds the lower sum, the upper parallel sum and L*R/v unreduced,
   and reduces the result with a single gcd per toggle.  It follows the
   fold order of the generic rules step for step, so it raises
   ZeroDivisionError on exactly the inputs where they do.
 
-An algebra built directly with ToggleAlgebra(...) has no lane and sweeps
+An algebra built directly with ToggleAlgebra(...) has no lane and walks
 through _toggled_value, one toggle at a time with the algebra's own
 rules.  That loop is the reference semantics: the lanes are tested equal
-to it on every sweep, boundary and shape, and single toggles always use
+to it on every walk, boundary and shape, and single toggles always use
 it.
 """
 
@@ -69,8 +71,8 @@ class ToggleAlgebra:
         self.bottom_value = bottom_value
         self.top_value = top_value
         self.positive_domain = positive_domain
-        # sweep(poset, values, boundary, order) -> the swept values, or None
-        # for the generic toggle-by-toggle loop.
+        # sweep(poset, values, boundary, order, times) -> the walked values
+        # (see iterate), or None for the generic toggle-by-toggle loop.
         self.sweep = sweep
 
     @property
@@ -111,8 +113,8 @@ class ToggleAlgebra:
         return f"ToggleAlgebra({self.name!r})"
 
 
-def _pl_sweep(poset, values, boundary, order):
-    'Piecewise-linear sweep in ints on the lattice (1/D)Z^P.'
+def _pl_walk(poset, values, boundary, order, times):
+    'Piecewise-linear walk in ints on the lattice (1/D)Z^P.'
     den = lcm(boundary[0].denominator, boundary[1].denominator,
               *(v.denominator for v in values))
     ints = [v.numerator * (den // v.denominator) for v in values]
@@ -121,62 +123,66 @@ def _pl_sweep(poset, values, boundary, order):
     # rational once; the input values seed the table.
     rats = dict(zip(ints, values))
     lower, upper = poset.lower_covers, poset.upper_covers
-    for x in order:
-        # Explicit loops: max() and min() of a comprehension cost three
-        # times as much on covers of one or two elements.
-        lows, ups = lower[x], upper[x]
-        left = ints[lows[0]] if lows else bottom
-        for y in lows:
-            if ints[y] > left:
-                left = ints[y]
-        right = ints[ups[0]] if ups else top
-        for y in ups:
-            if ints[y] < right:
-                right = ints[y]
-        ints[x] = left + right - ints[x]
     out = list(values)
-    for x in order:
-        n = ints[x]
-        r = rats.get(n)
-        if r is None:
-            r = rats[n] = Rat(n, den)
-        out[x] = r
+    for k in range(1, max(times, default=0) + 1):
+        for x in order:
+            # Explicit loops: max() and min() of a comprehension cost three
+            # times as much on covers of one or two elements.
+            lows, ups = lower[x], upper[x]
+            left = ints[lows[0]] if lows else bottom
+            for y in lows:
+                if ints[y] > left:
+                    left = ints[y]
+            right = ints[ups[0]] if ups else top
+            for y in ups:
+                if ints[y] < right:
+                    right = ints[y]
+            ints[x] = left + right - ints[x]
+        for x in order:
+            if times[x] == k:
+                n = ints[x]
+                r = rats.get(n)
+                if r is None:
+                    r = rats[n] = Rat(n, den)
+                out[x] = r
     return out
 
 
-def _birational_sweep(poset, values, boundary, order):
-    'Birational sweep on (numerator, denominator) pairs, one gcd per toggle.'
+def _birational_walk(poset, values, boundary, order, times):
+    'Birational walk on (numerator, denominator) pairs, one gcd per toggle.'
     nums = [v.numerator for v in values]
     dens = [v.denominator for v in values]
     (bottom_n, bottom_d), (top_n, top_d) = ((b.numerator, b.denominator) for b in boundary)
     lower, upper = poset.lower_covers, poset.upper_covers
-    for x in order:
-        lows, ups = lower[x], upper[x]
-        if lows:
-            ln, ld = nums[lows[0]], dens[lows[0]]
-            for y in lows[1:]:
-                ln, ld = ln * dens[y] + nums[y] * ld, ld * dens[y]
-        else:
-            ln, ld = bottom_n, bottom_d
-        if ups:
-            rn, rd = nums[ups[0]], dens[ups[0]]
-            for y in ups[1:]:
-                # (rn/rd) * (n/d) / (rn/rd + n/d) = rn*n / (rn*d + n*rd)
-                n, d = nums[y], dens[y]
-                rn, rd = rn * n, rn * d + n * rd
-                if not rd:
-                    raise ZeroDivisionError("parallel sum of values adding to zero")
-        else:
-            rn, rd = top_n, top_d
-        if not nums[x]:
-            raise ZeroDivisionError("birational toggle of a zero entry")
-        # Denominators may go negative here; Rat normalises the sign at the end.
-        n, d = ln * rn * dens[x], ld * rd * nums[x]
-        g = gcd(n, d)
-        nums[x], dens[x] = n // g, d // g
     out = list(values)
-    for x in order:
-        out[x] = Rat(nums[x], dens[x])
+    for k in range(1, max(times, default=0) + 1):
+        for x in order:
+            lows, ups = lower[x], upper[x]
+            if lows:
+                ln, ld = nums[lows[0]], dens[lows[0]]
+                for y in lows[1:]:
+                    ln, ld = ln * dens[y] + nums[y] * ld, ld * dens[y]
+            else:
+                ln, ld = bottom_n, bottom_d
+            if ups:
+                rn, rd = nums[ups[0]], dens[ups[0]]
+                for y in ups[1:]:
+                    # (rn/rd) * (n/d) / (rn/rd + n/d) = rn*n / (rn*d + n*rd)
+                    n, d = nums[y], dens[y]
+                    rn, rd = rn * n, rn * d + n * rd
+                    if not rd:
+                        raise ZeroDivisionError("parallel sum of values adding to zero")
+            else:
+                rn, rd = top_n, top_d
+            if not nums[x]:
+                raise ZeroDivisionError("birational toggle of a zero entry")
+            # Denominators may go negative here; Rat normalises the sign on reading.
+            n, d = ln * rn * dens[x], ld * rd * nums[x]
+            g = gcd(n, d)
+            nums[x], dens[x] = n // g, d // g
+        for x in order:
+            if times[x] == k:
+                out[x] = Rat(nums[x], dens[x])
     return out
 
 
@@ -184,7 +190,7 @@ def pl_algebra(bottom=ZERO, top=ONE):
     'Max-plus toggling: L = max below, R = min above, v -> L + R - v.'
     return ToggleAlgebra(
         "pl", max, min, lambda L, R, v: L + R - v, Rat(bottom), Rat(top),
-        sweep=_pl_sweep,
+        sweep=_pl_walk,
     )
 
 
@@ -198,7 +204,7 @@ def birational_algebra(bottom=ONE, top=ONE):
         Rat(bottom),
         Rat(top),
         positive_domain=True,
-        sweep=_birational_sweep,
+        sweep=_birational_walk,
     )
 
 
@@ -277,15 +283,23 @@ def toggle(alg, f, x):
     return f._replace(values)
 
 
-def _sweep(alg, f, order):
+def iterate(alg, f, order, times):
+    'Each entry x of f as it stands after times[x] sweeps of order; untouched x keep f(x).'
     if alg.sweep is not None:
-        return f._replace(alg.sweep(f.poset, f.values, f.boundary, order))
-    poset = f.poset
-    values = list(f.values)
-    boundary = f.boundary
-    for x in order:
-        values[x] = _toggled_value(alg, poset, values, boundary, x)
-    return f._replace(values)
+        return f._replace(alg.sweep(f.poset, f.values, f.boundary, order, times))
+    poset, boundary = f.poset, f.boundary
+    values, out = list(f.values), list(f.values)
+    for k in range(1, max(times, default=0) + 1):
+        for x in order:
+            values[x] = _toggled_value(alg, poset, values, boundary, x)
+        for x, t in enumerate(times):
+            if t == k:
+                out[x] = values[x]
+    return f._replace(out)
+
+
+def _sweep(alg, f, order):
+    return iterate(alg, f, order, [1] * f.poset.size)
 
 
 def rowmotion(alg, f):

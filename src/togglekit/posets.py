@@ -40,6 +40,11 @@ class PosetError(ValueError):
     'Bad poset data, or a set of the wrong kind fed to an order operation.'
 
 
+def _is_int(value):
+    'An int that is not a bool: the one rule for integer poset data.'
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Poset:
     """Finite poset given by an irredundant list of cover relations.
 
@@ -85,7 +90,9 @@ class Poset:
                 raise PosetError("labels must be distinct")
         self.labels = labels
         if rc is not None:
-            rc = tuple((int(c), int(r)) for c, r in rc)
+            rc = tuple((c, r) for c, r in rc)
+            if not all(_is_int(v) for pair in rc for v in pair):
+                raise PosetError("rc positions must be pairs of integers")
             if len(rc) != size:
                 raise PosetError(f"{len(rc)} rc positions for {size} elements")
             for lo, hi in self.covers:

@@ -7,7 +7,7 @@ byte-identical across runs with the same inputs.
 
 import json
 
-from .posets import OrderIdeal, Poset, PosetError, sorted_indices
+from .posets import OrderIdeal, Poset, PosetError, _is_int, sorted_indices
 from .rational import format_rat, parse_rat
 from .tableaux import GtPattern, Tableau, TableauError
 
@@ -18,10 +18,6 @@ def _label_to_json(label):
 
 def _label_from_json(obj):
     return tuple(obj) if isinstance(obj, list) else obj
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_int_list(value, length=None):

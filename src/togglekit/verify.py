@@ -20,7 +20,16 @@ from .birational import (
     recombine_inverse,
     reciprocity_check,
 )
-from .dynamics import BIRATIONAL, PL, file_toggle, promotion, rowmotion, toggle, vertex_from_ideal
+from .dynamics import (
+    BIRATIONAL,
+    PL,
+    file_toggle,
+    iterate,
+    promotion,
+    rowmotion,
+    toggle,
+    vertex_from_ideal,
+)
 from .homomesy import (
     average_space_rank,
     orbit_average_vector,
@@ -141,11 +150,13 @@ def suite_order(poset, samples=100, seed=None, cap=1000, start=None):
 
     checks = _checks("combinatorial", enumerate_ideals(poset), names, ideal_returns)
     rng = seeded_rng(seed)
+    powers = [n] * poset.size
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
 
         def returns(f):
             return [
-                _unless(_power(lambda g: step(alg, g), f, n) == f, f) for _, step in _ARRAY_MAPS
+                _unless(iterate(alg, f, order, powers) == f, f)
+                for order in (poset.rowmotion_order, poset.promotion_order)
             ]
 
         checks += _checks(regime, arrays, names, returns)

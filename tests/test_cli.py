@@ -1,12 +1,15 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from togglekit.cli import main
-from togglekit.posets import triangle_poset
+from togglekit.posets import rectangle_poset, triangle_poset
+from togglekit.verify import SUITES
 from togglekit.serialize import dumps_canonical, poset_to_json
 
 T_JSON = {"rows": [[1, 2, 2], [3, 5, 5]], "max_entry": 5}
@@ -378,3 +381,140 @@ def test_wrong_rectangle_field_exits_2_without_traceback(tmp_path, suite):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "rectangle [2, 3] does not match" in proc.stderr
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "order", "--shape", "2x2", "--cap=--"],
+        ["verify", "order", "--shape", "2x2", "--seed=--"],
+        ["verify", "order", "--shape", "2x2", "--samples=--"],
+        ["verify", "order", "--shape=--"],
+        ["tableau", "to-gt", "--input=--"],
+    ],
+)
+def test_a_dashes_value_is_a_usage_error(capsys, argv):
+    'argparse turns "--opt=--" into an empty list; it must not reach the commands.'
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected one argument" in err and "Traceback" not in err
+
+
+# -- fuzzing main(argv) --------------------------------------------------
+
+# Valid parts are repeated so that many shapes get past parsing.
+SHAPE_PARTS = ["1", "2", "3"] * 4 + ["0", "-1", " 2", "a", "", "1.5", "+3", "٣"]
+ODD = st.sampled_from(["", "x", "1.5", "1e3", "--", "0x10", " 2", "٣", "-0"])
+NUMBERS = st.integers(-1, 3).map(str) | ODD
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.floats(allow_nan=False, width=16)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["size", "covers", "labels", "rc", "rectangle", "rows", "max_entry"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def shapes(draw):
+    count = draw(st.sampled_from([2, 2, 2, 2, 3, 1, 0]))
+    parts = draw(st.lists(st.sampled_from(SHAPE_PARTS), min_size=count, max_size=count))
+    return draw(st.sampled_from(["x", "X", "*", " x "])).join(parts)
+
+
+@st.composite
+def near_valid(draw, docs):
+    'A valid document with one field deleted or replaced.'
+    doc = dict(draw(st.sampled_from(docs)))
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(json_values)
+    return json.dumps(doc)
+
+
+POSET_DOCS = [poset_to_json(rectangle_poset(a, b)) for a in (1, 2, 3) for b in (1, 2, 3)]
+POSET_DOCS += [poset_to_json(triangle_poset(n)) for n in (1, 2, 3)]
+TABLEAU_DOCS = [
+    T_JSON,
+    {"rows": [[1, 1], [2, 3]], "max_entry": 3},
+    {"rows": [[1]], "max_entry": 2},
+]
+
+
+def files(docs):
+    'Text of a JSON file: valid, near-valid, any JSON value, or not JSON at all.'
+    return st.one_of(
+        st.sampled_from(docs).map(json.dumps),
+        near_valid(docs),
+        json_values.map(json.dumps),
+        st.text(max_size=12),
+    )
+
+
+def assert_clean_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors, --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(errors) == 1, (argv, err.getvalue())
+
+
+FUZZ = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@FUZZ
+@given(
+    suite=st.sampled_from(sorted(SUITES) + ["nosuch", "ORDER", ""]),
+    shape=shapes(),
+    samples=st.integers(0, 3).map(str) | NUMBERS,
+    cap=st.none() | st.integers(1, 40).map(str) | NUMBERS,
+    seed=st.none() | st.integers(-(10**20), 10**20).map(str) | ODD,
+)
+def test_fuzzed_verify_arguments_exit_cleanly(suite, shape, samples, cap, seed):
+    argv = ["verify", suite, "--samples", samples, f"--shape={shape}"]
+    for flag, value in (("--cap", cap), ("--seed", seed)):
+        if value is not None:
+            argv += [f"{flag}={value}"]
+    assert_clean_exit(argv)
+
+
+@FUZZ
+@given(
+    kind=st.sampled_from(["verify", "orbit", "tableau"]),
+    suite=st.sampled_from(sorted(SUITES)),
+    action=st.sampled_from(["to-gt", "to-array", "promote", "bridge-check"]),
+    data=st.data(),
+)
+def test_fuzzed_input_files_exit_cleanly(tmp_path, kind, suite, action, data):
+    path = tmp_path / "input.json"
+    if kind == "tableau":
+        path.write_text(data.draw(files(TABLEAU_DOCS)))
+        argv = ["tableau", action, "--input", str(path)]
+    else:
+        path.write_text(data.draw(files(POSET_DOCS)))
+        if kind == "verify":
+            argv = ["verify", suite, "--poset", str(path), "--samples", "1", "--seed", "1"]
+        else:
+            argv = ["orbit", "--regime", "combinatorial", "--poset", str(path), "--start", ""]
+    assert_clean_exit(argv)

@@ -24,6 +24,10 @@ SQUARE = rectangle_poset(2, 2)
 WIDE = rectangle_poset(2, 3)
 TALL = rectangle_poset(3, 2)
 TRIANGLE = triangle_poset(3)
+# Shear depths and rowmotion powers of up to 3 in both orientations.
+LONG = rectangle_poset(3, 4)
+DEEP = rectangle_poset(4, 3)
+CUBE = rectangle_poset(3, 3)
 
 
 def _rising(size):
@@ -91,13 +95,18 @@ def _broken_bridge(mp):
 CASES = {
     "order-tall": (None, "order", TALL, {"samples": 4, "seed": 5}),
     "order-start": (None, "order", WIDE, {"seed": 7, "start": _rising(6)}),
+    "order-start-3x3": (None, "order", CUBE, {"seed": 7, "start": _rising(9)}),
     "three-step-triangle": (None, "three-step", TRIANGLE, {"samples": 6, "seed": 3}),
     "three-step-triangle-start": (None, "three-step", TRIANGLE, {"start": _rising(6)}),
     "three-step-start": (None, "three-step", WIDE, {"seed": 7, "start": _rising(6)}),
     "recombination-tall": (None, "recombination", TALL, {"samples": 4, "seed": 5}),
     "recombination-start": (None, "recombination", WIDE, {"start": _rising(6)}),
+    "recombination-3x4": (None, "recombination", LONG, {"samples": 4, "seed": 9}),
+    "recombination-4x3": (None, "recombination", DEEP, {"samples": 4, "seed": 10}),
     "reciprocity-tall": (None, "reciprocity", TALL, {"samples": 4, "seed": 5}),
     "reciprocity-start": (None, "reciprocity", WIDE, {"start": _rising(6)}),
+    "reciprocity-3x4": (None, "reciprocity", LONG, {"samples": 4, "seed": 9}),
+    "reciprocity-4x3": (None, "reciprocity", DEEP, {"samples": 4, "seed": 10}),
     "quotient-tall": (None, "quotient", TALL, {"samples": 4, "seed": 5}),
     "quotient-start": (None, "quotient", WIDE, {"start": _rising(6)}),
     "homomesy-tall": (None, "homomesy", TALL, {"samples": 6, "seed": 5}),
@@ -120,6 +129,9 @@ CASES = {
     "reversed-reciprocity": (
         _reversed_rowmotion, "reciprocity", SQUARE, {"samples": 4, "seed": 1}
     ),
+    "reversed-reciprocity-3x4": (
+        _reversed_rowmotion, "reciprocity", LONG, {"samples": 4, "seed": 1}
+    ),
     "reversed-vertex": (_reversed_rowmotion, "vertex", SQUARE, {"samples": 3, "seed": 1}),
     "truncated-order": (_truncated_promotion, "order", SQUARE, {"samples": 4, "seed": 1}),
     "truncated-quotient": (_truncated_promotion, "quotient", SQUARE, {"samples": 4, "seed": 1}),
@@ -140,14 +152,20 @@ DIGESTS = {
     "homomesy-start": "95ff05540d1e8b3c0dba7e55848f40dfa9dcdb67bf4863e37b7344e2242b8aae",
     "homomesy-tall": "324a3a7e55fad4f8994b9b39bd45c4ded8bc1297ca1b085d9babac927b9bab16",
     "order-start": "cca83ed46600b87b768d3661c03ef6d6a2d203395c6fff23947066f9d18dc73e",
+    "order-start-3x3": "8e6db01b538970e9228c86f5ad1eef927a8802415dd95eb5fb5f2af9420ad950",
     "order-tall": "6f4411626e34470ed03ffed1524913e7f481c83927b09844829b25aef39891a1",
     "quotient-start": "74f522eb8ef003afab03440b13380321dd9c232c1ae48ebd43de0eff552908be",
     "quotient-tall": "c5dbe1185bd9d1d4a81950134d26779c1ac417de8eada3e9679ee32e57e6d116",
+    "reciprocity-3x4": "0d4632c1ec34c005c8813689731344267bba474216a194da028496d121ac7cb8",
+    "reciprocity-4x3": "9fb7f5757f6c95b9f79b228db0d70265c4d26e2b2eb1d31647c20c9675cce63a",
     "reciprocity-start": "c7d7c665b57b3d7ec12908f34f20363284e47d8045c1724b72186d38dd6abdc8",
     "reciprocity-tall": "7704b8b71e53c7059bd975d9c3ecb6747938a6f2138668b325947fa4a23befee",
+    "recombination-3x4": "3f9842d796c42a7b84cc81d66ea1fec72846b3bd3da92e43bf8f587dd137315b",
+    "recombination-4x3": "1289b31f6ab8582712d233f88293d4c3be9304baf6c25f979100d629edde1e66",
     "recombination-start": "f1d3f213e12c3f5b290bd0207c9e2cde3a955e24fde74c2df36d6ed334dc7eb6",
     "recombination-tall": "2a79e8595e508a4517a0c108509ce7b14f870c32a96e9a776404dc52b133e6f2",
     "reversed-reciprocity": "2526ce756f06548308a560fef4758814f60e3369ed2dd7e2c8bc0ff19ef0c773",
+    "reversed-reciprocity-3x4": "d589f98675bd53888679d9fc55d0851d7b69dcf1ecc6eec159f16951d316ddfc",
     "reversed-recombination": "219f7f57cc04248ce9c3bfe7470defc59a581095f2f8c5c6c581bbf18a3a345f",
     "reversed-three-step": "a028d67aedfcae627354bbcb2860f4596a655522645e6e1f24df7c3294a588c7",
     "reversed-three-step-triangle": (

@@ -1,10 +1,12 @@
-"""The integer sweep lanes against the generic toggle loop as the oracle.
+"""The integer walk lanes against the generic toggle loop as the oracle.
 
-pl_algebra and birational_algebra sweep through exact integer lanes; an
+pl_algebra and birational_algebra walk through exact integer lanes; an
 algebra built from the same rules with ToggleAlgebra(...) has no lane and
 toggles one element at a time through the aggregation rules.  Every
-sweep (rowmotion, promotion, their inverses, each file toggle) must give
-the same array both ways, or raise ZeroDivisionError both ways.
+sweep (rowmotion, promotion, their inverses, each file toggle), and every
+walk of those orders that reads each entry after its own number of
+sweeps, must give the same array both ways, or raise ZeroDivisionError
+both ways.
 """
 
 from fractions import Fraction
@@ -25,6 +27,7 @@ from togglekit import (
     rowmotion,
     rowmotion_inverse,
 )
+from togglekit.dynamics import iterate
 from togglekit.posets import rectangle_poset, triangle_poset
 from togglekit.rational import Rat
 
@@ -72,6 +75,18 @@ def sweeps(poset):
     return maps
 
 
+def orders(poset):
+    'Every sweep order: rowmotion, promotion, their inverses and each file.'
+    forward = [poset.rowmotion_order, poset.promotion_order]
+    return forward + [order[::-1] for order in forward] + list(poset.files)
+
+
+def times_vectors(poset):
+    'Sweep counts per entry, 0..a+b on [a]x[b]: the top rank plus 2.'
+    most = max(poset.ranks, default=0) + 2
+    return st.lists(st.integers(0, most), min_size=poset.size, max_size=poset.size)
+
+
 def outcome(sweep, alg, f):
     try:
         return sweep(alg, f)
@@ -79,11 +94,17 @@ def outcome(sweep, alg, f):
         return ZeroDivisionError
 
 
-def assert_lane_matches_reference(alg, f):
+def assert_lane_matches_reference(alg, f, times):
     assert alg.sweep is not None
     oracle = reference(alg)
     for sweep in sweeps(f.poset):
         assert outcome(sweep, alg, f) == outcome(sweep, oracle, f)
+    for order in orders(f.poset):
+
+        def walk(algebra, g):
+            return iterate(algebra, g, order, times)
+
+        assert outcome(walk, alg, f) == outcome(walk, oracle, f)
 
 
 def arrays(draw, alg, entries):
@@ -91,12 +112,16 @@ def arrays(draw, alg, entries):
     return alg.array(poset, draw(st.lists(entries, min_size=poset.size, max_size=poset.size)))
 
 
+def with_times(draw, f):
+    return f, draw(times_vectors(f.poset))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_pl_lane_matches_reference(data):
     ends = data.draw(st.none() | st.tuples(rationals, rationals))
     alg = PL if ends is None else pl_algebra(*ends)
-    assert_lane_matches_reference(alg, arrays(data.draw, alg, rationals))
+    assert_lane_matches_reference(alg, *with_times(data.draw, arrays(data.draw, alg, rationals)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -104,7 +129,8 @@ def test_pl_lane_matches_reference(data):
 def test_birational_lane_matches_reference(data):
     ends = data.draw(st.none() | st.tuples(positive_rationals, positive_rationals))
     alg = BIRATIONAL if ends is None else birational_algebra(*ends)
-    assert_lane_matches_reference(alg, arrays(data.draw, alg, positive_rationals))
+    f = arrays(data.draw, alg, positive_rationals)
+    assert_lane_matches_reference(alg, *with_times(data.draw, f))
 
 
 @settings(max_examples=150, deadline=None)
@@ -113,7 +139,8 @@ def test_lanes_match_reference_on_unchecked_arrays(alg, poset, data):
     'PArray(...) skips the positivity check: zeros and signs of every kind.'
     values = data.draw(st.lists(signed, min_size=poset.size, max_size=poset.size))
     boundary = data.draw(st.tuples(signed, signed))
-    assert_lane_matches_reference(alg, PArray(poset, values, boundary))
+    f = PArray(poset, values, boundary)
+    assert_lane_matches_reference(alg, *with_times(data.draw, f))
 
 
 @pytest.mark.parametrize(
@@ -128,3 +155,20 @@ def test_birational_lane_raises_where_the_reference_does(values):
     for alg in (BIRATIONAL, reference(BIRATIONAL)):
         with pytest.raises(ZeroDivisionError):
             file_toggle(alg, f, 2)
+
+
+@pytest.mark.parametrize("alg", [PL, BIRATIONAL, reference(PL), reference(BIRATIONAL)])
+def test_walk_reads_each_entry_after_its_own_sweeps(alg):
+    poset = rectangle_poset(3, 4)
+    f = alg.array(poset, [Rat(k + 1, 13) for k in range(poset.size)])
+    powers = [f]
+    for _ in range(4):
+        powers.append(rowmotion(alg, powers[-1]))
+    times = [x % 5 for x in range(poset.size)]
+    walk = iterate(alg, f, poset.rowmotion_order, times)
+    assert walk.values == tuple(powers[t][x] for x, t in enumerate(times))
+    # Entries outside the order's file keep f's own values.
+    walk = iterate(alg, f, poset.file_members(2), [3] * poset.size)
+    outside = set(range(poset.size)) - set(poset.file_members(2))
+    assert all(walk[x] is f[x] for x in outside)
+    assert iterate(alg, f, poset.rowmotion_order, [0] * poset.size) == f

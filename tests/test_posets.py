@@ -82,6 +82,19 @@ def test_poset_validation():
         Poset(2, [(0, 1)], rc=[(0, 0), (5, 1)])
 
 
+@pytest.mark.parametrize(
+    "rc",
+    [
+        [(0.5, 0), (1.7, 1.2)],  # int() would truncate these to (0, 0), (1, 1)
+        [("0", 0), (1, 1)],
+        [(True, 0), (1, 1)],
+    ],
+)
+def test_rc_positions_must_be_ints(rc):
+    with pytest.raises(PosetError, match="rc positions must be pairs of integers"):
+        Poset(2, [(0, 1)], rc=rc)
+
+
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 5) for b in range(1, 5)])
 def test_rectangle_shape_is_derived(a, b):
     assert rectangle_poset(a, b).rectangle_shape == (a, b)
