@@ -29,11 +29,23 @@ whole walk and builds one rational per read entry:
   fold order of the generic rules step for step, so it raises
   ZeroDivisionError on exactly the inputs where they do.
 
+A lane runs its walk from a schedule (_schedule), built once per poset,
+order and times: for each sweep, the live toggles in order, then the
+entries read.  A toggle of x is live when its result reaches a read
+entry, directly or through later toggles that take x's value as their
+own previous value or as a cover's; one backward pass over the sweeps
+decides it.  The recombination shears read column j after j - 1 sweeps,
+so half of their toggles are dead.  Skipping a dead toggle changes no
+read entry, but it could skip a division by zero: the birational lane
+uses the live schedule only when every value and both boundary values
+are positive, where no rule can divide by zero, and runs every toggle
+otherwise.
+
 An algebra built directly with ToggleAlgebra(...) has no lane and walks
-through _toggled_value, one toggle at a time with the algebra's own
-rules.  That loop is the reference semantics: the lanes are tested equal
-to it on every walk, boundary and shape, and single toggles always use
-it.
+through _toggled_value, every toggle of every sweep, one at a time with
+the algebra's own rules.  That loop is the reference semantics: the
+lanes are tested equal to it on every walk, boundary and shape, and
+single toggles always use it.
 """
 
 from functools import reduce
@@ -113,6 +125,33 @@ class ToggleAlgebra:
         return f"ToggleAlgebra({self.name!r})"
 
 
+def _schedule(poset, order, times):
+    """(live, full): for each sweep k = 1..max(times), the toggles to run
+    as (x, lower covers, upper covers) in order, and the entries x of
+    order with times[x] == k to read after them.  full keeps every toggle.
+    """
+    key = (tuple(order), tuple(times))
+    plan = poset._schedules.get(key)
+    if plan is None:
+        lower, upper = poset.lower_covers, poset.upper_covers
+        steps = tuple((x, lower[x], upper[x]) for x in order)
+        reads = [
+            tuple(x for x in order if times[x] == k)
+            for k in range(1, max(times, default=0) + 1)
+        ]
+        live, needed = [], set()  # entries whose current value is read later
+        for due in reversed(reads):
+            needed.update(due)
+            kept = []
+            for step in reversed(steps):
+                if step[0] in needed:
+                    kept.append(step)
+                    needed.update(step[1], step[2])
+            live.append((kept[::-1], due))
+        plan = poset._schedules[key] = (live[::-1], [(steps, due) for due in reads])
+    return plan
+
+
 def _pl_walk(poset, values, boundary, order, times):
     'Piecewise-linear walk in ints on the lattice (1/D)Z^P.'
     den = lcm(boundary[0].denominator, boundary[1].denominator,
@@ -122,13 +161,11 @@ def _pl_walk(poset, values, boundary, order, times):
     # Entries stay on a few lattice points, so each point becomes a
     # rational once; the input values seed the table.
     rats = dict(zip(ints, values))
-    lower, upper = poset.lower_covers, poset.upper_covers
     out = list(values)
-    for k in range(1, max(times, default=0) + 1):
-        for x in order:
+    for toggles, reads in _schedule(poset, order, times)[0]:
+        for x, lows, ups in toggles:
             # Explicit loops: max() and min() of a comprehension cost three
             # times as much on covers of one or two elements.
-            lows, ups = lower[x], upper[x]
             left = ints[lows[0]] if lows else bottom
             for y in lows:
                 if ints[y] > left:
@@ -138,13 +175,12 @@ def _pl_walk(poset, values, boundary, order, times):
                 if ints[y] < right:
                     right = ints[y]
             ints[x] = left + right - ints[x]
-        for x in order:
-            if times[x] == k:
-                n = ints[x]
-                r = rats.get(n)
-                if r is None:
-                    r = rats[n] = Rat(n, den)
-                out[x] = r
+        for x in reads:
+            n = ints[x]
+            r = rats.get(n)
+            if r is None:
+                r = rats[n] = Rat(n, den)
+            out[x] = r
     return out
 
 
@@ -153,11 +189,13 @@ def _birational_walk(poset, values, boundary, order, times):
     nums = [v.numerator for v in values]
     dens = [v.denominator for v in values]
     (bottom_n, bottom_d), (top_n, top_d) = ((b.numerator, b.denominator) for b in boundary)
-    lower, upper = poset.lower_covers, poset.upper_covers
+    live, full = _schedule(poset, order, times)
+    # The rules divide by zero only on non-positive input, so only a
+    # positive walk may skip the toggles no read entry depends on.
+    positive = min(nums, default=1) > 0 and bottom_n > 0 and top_n > 0
     out = list(values)
-    for k in range(1, max(times, default=0) + 1):
-        for x in order:
-            lows, ups = lower[x], upper[x]
+    for toggles, reads in live if positive else full:
+        for x, lows, ups in toggles:
             if lows:
                 ln, ld = nums[lows[0]], dens[lows[0]]
                 for y in lows[1:]:
@@ -180,9 +218,8 @@ def _birational_walk(poset, values, boundary, order, times):
             n, d = ln * rn * dens[x], ld * rd * nums[x]
             g = gcd(n, d)
             nums[x], dens[x] = n // g, d // g
-        for x in order:
-            if times[x] == k:
-                out[x] = Rat(nums[x], dens[x])
+        for x in reads:
+            out[x] = Rat(nums[x], dens[x])
     return out
 
 

@@ -107,6 +107,7 @@ class Poset:
         self._check_irredundant()
         self._ideal_masks = None  # J(P), ascending, once enumerated
         self._sweep_tables = {}  # toggle order tuple -> (masks, images)
+        self._schedules = {}  # (order, times) -> dynamics._schedule's plan
         # The last (order, table) served: repeated sweeps of one order skip
         # hashing the order tuple.
         self._last_table = (None, None)

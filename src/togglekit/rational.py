@@ -6,6 +6,7 @@ compares exactly, and prints as "p/q" (just "p" when the denominator is
 1).  BACKEND names it for the environment records of benchmark runs.
 """
 
+import sys
 from fractions import Fraction
 
 Rat = Fraction
@@ -21,13 +22,27 @@ def rat(numerator, denominator=None):
 
 
 def parse_rat(text):
-    'Parse "p/q" or "p" into an exact rational.'
+    """Parse "p/q", "p" or a decimal such as "1.5e3" into an exact rational.
+
+    A value with more digits than str() may print
+    (sys.get_int_max_str_digits()) is refused, and an exponent above that
+    limit is refused before the power of ten is built: building 10**e
+    alone takes seconds for large e.
+    """
     if not isinstance(text, str):
         raise ValueError(f"not a rational: {text!r}")
+    _, mark, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    limit = sys.get_int_max_str_digits()
+    if mark and limit and digits.isdecimal():
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            raise ValueError(f"not a rational: {text!r} (exponent too large)")
     try:
-        return Rat(text.strip())
+        value = Rat(text.strip())
+        format_rat(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+    return value
 
 
 def format_rat(value):

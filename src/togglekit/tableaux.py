@@ -9,6 +9,8 @@ involution acts as the i-th file toggle, so tableau promotion matches
 piecewise-linear promotion.
 """
 
+from bisect import bisect_right
+
 from .dynamics import PL, PArray
 from .posets import PosetError, rectangle_poset
 from .rational import Rat
@@ -213,10 +215,20 @@ def array_to_pattern(f, max_entry, columns):
 
 
 def tableau_to_array(tableau):
-    'Composite of tableau_to_pattern and pattern_to_array.'
+    """pattern_to_array(tableau_to_pattern(tableau)), read from the rows.
+
+    For A rows of B entries at most n, element (i, j) of [A] x [n-A] is
+    the number of entries at most A + j - i in row A + 1 - i, over B;
+    the pattern itself would hold n(n+1)/2 slots.
+    """
     if not tableau.is_rectangular():
         raise TableauError("only rectangular tableaux map to arrays")
-    return pattern_to_array(tableau_to_pattern(tableau))
+    rows, n = tableau.rows, tableau.max_entry
+    a, b = len(rows), len(rows[0])
+    if a >= n:
+        raise TableauError("pattern is not of rectangular type")
+    poset = rectangle_poset(a, n - a)
+    return PL.array(poset, [Rat(bisect_right(rows[a - i], a + j - i), b) for i, j in poset.labels])
 
 
 def array_to_tableau(f, max_entry, columns):

@@ -115,6 +115,20 @@ def test_orbit_rejects_bad_start_length(capsys):
     assert "4 elements" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbit", "--regime", "pl", "--shape", "1x1", "--start", "1e5000"),
+        ("verify", "reciprocity", "--shape", "1x1", "--start", "1e4000000"),
+    ],
+)
+def test_huge_exponents_are_not_rationals(capsys, argv):
+    'Refused before 10**e is built: an exit 2 with one line, not a failed print.'
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: not a rational: '1e") and err.count("\n") == 1
+
+
 def test_orbit_rejects_non_ideal_start(capsys):
     code, _, err = run_cli(
         capsys,

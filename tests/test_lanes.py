@@ -6,7 +6,8 @@ toggles one element at a time through the aggregation rules.  Every
 sweep (rowmotion, promotion, their inverses, each file toggle), and every
 walk of those orders that reads each entry after its own number of
 sweeps, must give the same array both ways, or raise ZeroDivisionError
-both ways.
+both ways.  The lanes run only the toggles that a read entry depends on;
+the schedule tests pin how many that is on the walks the suites make.
 """
 
 from fractions import Fraction
@@ -24,10 +25,13 @@ from togglekit import (
     pl_algebra,
     promotion,
     promotion_inverse,
+    recombine,
+    recombine_inverse,
     rowmotion,
     rowmotion_inverse,
 )
-from togglekit.dynamics import iterate
+from togglekit.birational import _depths
+from togglekit.dynamics import _schedule, iterate
 from togglekit.posets import rectangle_poset, triangle_poset
 from togglekit.rational import Rat
 
@@ -172,3 +176,44 @@ def test_walk_reads_each_entry_after_its_own_sweeps(alg):
     outside = set(range(poset.size)) - set(poset.file_members(2))
     assert all(walk[x] is f[x] for x in outside)
     assert iterate(alg, f, poset.rowmotion_order, [0] * poset.size) == f
+
+
+def toggle_counts(poset, order, times):
+    'Toggles of the live and of the full schedule of a walk.'
+    live, full = _schedule(poset, order, times)
+    return tuple(sum(len(toggles) for toggles, _ in plan) for plan in (live, full))
+
+
+@pytest.mark.parametrize("a", range(1, 7))
+@pytest.mark.parametrize("b", range(1, 7))
+def test_schedules_run_only_the_live_toggles(a, b):
+    poset = rectangle_poset(a, b)
+    depths = _depths(poset, False)
+    # The shears read column j after j - 1 sweeps: half their toggles are live.
+    for order in (poset.promotion_order[::-1], poset.rowmotion_order):
+        assert toggle_counts(poset, order, depths) == (a * b * (b - 1) // 2, a * b * (b - 1))
+    # The order suite reads every entry after a + b sweeps, so nothing is dead.
+    full = a * b * (a + b)
+    assert toggle_counts(poset, poset.rowmotion_order, [a + b] * poset.size) == (full, full)
+
+
+def test_reciprocity_schedule_on_six_by_six():
+    poset = rectangle_poset(6, 6)
+    times = [i + j - 1 for i, j in poset.labels]
+    assert toggle_counts(poset, poset.rowmotion_order, times) == (216, 396)
+
+
+@pytest.mark.parametrize("shear", [recombine, recombine_inverse])
+def test_birational_lane_raises_on_a_zero_whose_toggles_are_all_dead(shear):
+    poset = rectangle_poset(2, 3)
+    zero = poset.index_of((2, 1))
+    # Column 1 is read before any sweep, so no live toggle touches (2, 1) itself.
+    for order in (poset.promotion_order[::-1], poset.rowmotion_order):
+        live, _ = _schedule(poset, order, _depths(poset, False))
+        assert all(x != zero for toggles, _ in live for x, _, _ in toggles)
+    values = [Rat(1)] * poset.size
+    values[zero] = Rat(0)
+    f = PArray(poset, values, (Rat(1), Rat(1)))
+    for alg in (BIRATIONAL, reference(BIRATIONAL)):
+        with pytest.raises(ZeroDivisionError):
+            shear(alg, f)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,20 @@ def test_parse_rat():
     assert parse_rat("5/12") == Rat(5, 12)
     assert parse_rat(" 3 ") == Rat(3)
     assert parse_rat("-7/2") == Rat(-7, 2)
+    assert parse_rat("1.5e3") == Rat(1500)
+    assert parse_rat("1_000") == Rat(1000)
+    assert parse_rat(" 3/4 ") == Rat(3, 4)
+
+
+def test_parse_rat_refuses_values_str_could_not_print():
+    limit = sys.get_int_max_str_digits()
+    assert format_rat(parse_rat(f"1e{limit - 1}")) == "1" + "0" * (limit - 1)
+    assert parse_rat(f"1E-{limit - 1}") == Rat(1, 10 ** (limit - 1))
+    assert parse_rat("2e0_000_000_000_003") == Rat(2000)
+    huge = (f"1e{limit}", f"1e-{limit}", f"123e{limit - 1}", "1e4000000", "2.5E+" + "9" * 5000)
+    for text in huge:
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rat(text)
 
 
 @pytest.mark.parametrize("bad", ["", "abc", "1/0", "1.5.2", None])

@@ -17,6 +17,7 @@ from togglekit.posets import rectangle_poset
 from togglekit.rational import Rat
 from togglekit.sampling import random_tableau, seeded_rng
 from togglekit.tableaux import GtPattern, Tableau, TableauError, rectangle_type
+from togglekit.verify import BRIDGE_SHAPES
 
 # running example: 2x3 tableau with entries up to 5
 T = Tableau([[1, 2, 2], [3, 5, 5]], 5)
@@ -173,3 +174,24 @@ def test_tableau_equality_and_repr():
     assert T != Tableau([[1, 2, 2], [3, 4, 5]], 5)
     assert "Tableau" in repr(T)
     assert "GtPattern" in repr(tableau_to_pattern(T))
+
+
+@pytest.mark.parametrize("shape", [*BRIDGE_SHAPES, (1, 1, 2), (3, 2, 7), (4, 3, 6), (2, 4, 9)])
+def test_array_reads_the_rows_as_the_pattern_route_does(shape):
+    rows, cols, max_entry = shape
+    rng = seeded_rng(sum(shape))
+    for _ in range(25):
+        t = random_tableau(rows, cols, max_entry, rng)
+        assert tableau_to_array(t) == pattern_to_array(tableau_to_pattern(t))
+
+
+def test_array_refuses_a_tableau_with_as_many_rows_as_entries():
+    with pytest.raises(TableauError, match="rectangular type"):
+        tableau_to_array(Tableau([[1, 1], [2, 2]], 2))
+
+
+def test_array_of_a_large_max_entry_skips_the_pattern():
+    'The pattern of [[1]] with entries up to 20000 would hold 2*10^8 slots.'
+    f = tableau_to_array(Tableau([[1]], 20000))
+    assert f.poset.rectangle_shape == (1, 19999)
+    assert set(f.values) == {Rat(1)}
