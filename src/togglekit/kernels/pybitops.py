@@ -5,18 +5,19 @@ flips bit x exactly when every lower cover of x is present and no upper
 cover is.  Python ints put no limit on poset size.
 
 A sweep can be answered from a table over J(P), the set of order ideals:
-a pair (masks, images) of equal-length lists, where masks is J(P) sorted
-ascending and images[k] is the image of masks[k] under one toggle order,
-or None until masks[k] has been swept.  sweep() fills a slot the first
-time its mask is swept, with the int object already held in masks, so a
-filled table holds no ints of its own.  A table is valid only for the
-toggle order and the lower/upper cover masks it was built for;
-posets.Poset.sweep_table keys one per order by the order's contents.
-The plain loop, _sweep_loop, is the oracle: it runs on every miss, on
-masks that are not in the table, and whenever no table is given.
+a triple (masks, index, images), where masks is J(P) sorted ascending,
+index is a dict from each mask to its position in masks, and images[k]
+is the image of masks[k] under one toggle order, or None until masks[k]
+has been swept.  sweep() finds a mask's slot, and the slot of its fresh
+image, with one index lookup each, and fills a slot the first time its
+mask is swept with the int object already held in masks, so a filled
+table holds no ints of its own.  masks and index are shared by every
+table of one poset; a table is valid only for the toggle order and the
+lower/upper cover masks it was built for, and posets.Poset.sweep_table
+keys one per order by the order's contents.  The plain loop,
+_sweep_loop, is the oracle: it runs on every miss, on masks that are
+not in the table, and whenever no table is given.
 """
-
-from bisect import bisect_left
 
 
 def enumerate_ideals(size, lower_masks, limit=None):
@@ -56,14 +57,14 @@ def sweep(mask, order, lower_masks, upper_masks, table=None):
     the table is swept once and its image read back after that.
     """
     if table is not None:
-        masks, images = table
-        k = bisect_left(masks, mask)
-        if k < len(masks) and masks[k] == mask:
+        masks, index, images = table
+        k = index.get(mask)
+        if k is not None:
             image = images[k]
             if image is None:
                 image = _sweep_loop(mask, order, lower_masks, upper_masks)
-                j = bisect_left(masks, image)
-                if j < len(masks) and masks[j] == image:
+                j = index.get(image)
+                if j is not None:
                     images[k] = image = masks[j]
             return image
     return _sweep_loop(mask, order, lower_masks, upper_masks)

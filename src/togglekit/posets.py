@@ -10,17 +10,24 @@ Derived facts.  A poset is its size, covers, labels and rc, integer
 on first use and kept.  rectangle_shape is (a, b) exactly when the poset
 equals rectangle_poset(a, b), labels and rc included.  J(P) is
 enumerated once per poset, in ascending order, and that one list is
-shared by every caller, the sweep tables included.
+shared by every caller, the sweep tables included.  The same
+enumeration builds, once, a dict from each mask to its position in
+J(P) and one shared OrderIdeal per mask; enumerate_ideals and
+sampling.random_ideal hand out those shared ideals.
 
 Sweep tables.  Once J(P) has been enumerated for a poset, every ideal
-sweep (rowmotion_ideal, promotion_ideal, file_toggle_ideal) passes
-pybitops.sweep a table of that toggle order over J(P), which records
-each image the first time its mask is swept.  Tables are keyed by the
-contents of the order tuple, never by the name of a map, so a changed
-order gets a table of its own.  A table is valid only for the poset's
-own cover masks.  The kernel's plain toggle loop is the oracle: it
-answers misses, masks outside J(P), and every sweep of a poset whose
-J(P) was never enumerated, which builds no table.
+sweep (rowmotion_ideal, promotion_ideal, file_toggle_ideal) makes one
+pybitops.sweep call with a table of that toggle order over J(P): the
+shared mask list and position index, and the image of each mask,
+recorded the first time that mask is swept.  The step then looks its
+image up in the index and returns the shared ideal at that position,
+so a step builds no OrderIdeal.  Tables are keyed by the contents of
+the order tuple, never by the name of a map, so a changed order gets a
+table of its own.  A table is valid only for the poset's own cover
+masks.  The kernel's plain toggle loop is the oracle: it answers
+misses, masks outside J(P), and every sweep of a poset whose J(P) was
+never enumerated, which builds no table; those steps return a new
+OrderIdeal.
 
 Enumeration is refused, with a PosetError, when J(P) would hold more
 than MAX_IDEALS order ideals: rectangles are checked against the exact
@@ -106,13 +113,22 @@ class Poset:
         self.rc = rc
         self._check_irredundant()
         self._ideal_masks = None  # J(P), ascending, once enumerated
-        self._sweep_tables = {}  # toggle order tuple -> (masks, images)
+        self._ideal_index = None  # mask -> its position in _ideal_masks
+        self._ideals = None  # one shared OrderIdeal per mask of _ideal_masks
+        self._sweep_tables = {}  # toggle order tuple -> (masks, index, images)
         self._schedules = {}  # (order, times) -> dynamics._schedule's plan
         # The last (order, table) served: repeated sweeps of one order skip
         # hashing the order tuple.
         self._last_table = (None, None)
 
     def _check_irredundant(self):
+        # With rc, the check in __init__ makes every cover climb exactly one
+        # rank.  A cover lo < hi implied through some mid would have
+        # lo < mid (at least one rank up) and mid covered by hi (one more),
+        # so hi would sit two ranks above lo, not one: no rc cover is
+        # redundant, and the O(size^2)-bit strict_down_masks is not built.
+        if self.rc is not None:
+            return
         below = self.strict_down_masks
         for lo, hi in self.covers:
             for mid in self.lower_covers[hi]:
@@ -240,7 +256,7 @@ class Poset:
             raise PosetError(f"no element labelled {label!r}") from None
 
     def sweep_table(self, order):
-        """The (masks, images) sweep table of a toggle order over J(P).
+        """The (masks, index, images) sweep table of a toggle order over J(P).
 
         None until J(P) has been enumerated; see the module docstring.
         """
@@ -251,7 +267,9 @@ class Poset:
         if order is not last_order:
             table = self._sweep_tables.get(order)
             if table is None:
-                table = self._sweep_tables[order] = (masks, [None] * len(masks))
+                table = self._sweep_tables[order] = (
+                    masks, self._ideal_index, [None] * len(masks)
+                )
             self._last_table = (order, table)
         return table
 
@@ -389,6 +407,8 @@ class OrderIdeal:
         return iter(self.indices)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, OrderIdeal)
             and self.mask == other.mask
@@ -428,11 +448,14 @@ def toggle_ideal(ideal, x):
 
 
 def _sweep(ideal, order):
+    'One kernel sweep; an image in J(P) comes back as its shared ideal.'
     poset = ideal.poset
-    mask = pybitops.sweep(
-        ideal.mask, order, poset.lower_masks, poset.upper_masks, poset.sweep_table(order)
-    )
-    return OrderIdeal.from_mask(poset, mask, validate=False)
+    table = poset.sweep_table(order)
+    mask = pybitops.sweep(ideal.mask, order, poset.lower_masks, poset.upper_masks, table)
+    k = None if table is None else table[1].get(mask)
+    if k is None:
+        return OrderIdeal.from_mask(poset, mask, validate=False)
+    return poset._ideals[k]
 
 
 def rowmotion_ideal(ideal):
@@ -493,7 +516,11 @@ def enumerate_ideal_masks(poset):
 
     J(P) is enumerated once per poset; every later call returns the same
     list, which the sweep tables share, so callers must not change it.
-    Raises PosetError when J(P) has more than MAX_IDEALS members.
+    The first call also keeps, on the poset, a dict from each mask to its
+    position and one shared OrderIdeal per mask.  Those ideals refer back
+    to the poset, so a poset dropped after enumeration is freed by the
+    cycle collector rather than at once.  Raises PosetError when J(P) has
+    more than MAX_IDEALS members.
     """
     masks = poset._ideal_masks
     if masks is not None:
@@ -510,10 +537,13 @@ def enumerate_ideal_masks(poset):
         raise PosetError(
             f"poset of size {poset.size} has more than {MAX_IDEALS} order ideals"
         )
+    poset._ideal_index = {m: k for k, m in enumerate(masks)}
+    poset._ideals = [OrderIdeal.from_mask(poset, m, validate=False) for m in masks]
     poset._ideal_masks = masks
     return masks
 
 
 def enumerate_ideals(poset):
-    'All of J(P) as OrderIdeal objects.'
-    return [OrderIdeal.from_mask(poset, m, validate=False) for m in enumerate_ideal_masks(poset)]
+    'All of J(P) as OrderIdeal objects: a new list of the shared ideals.'
+    enumerate_ideal_masks(poset)
+    return list(poset._ideals)

@@ -6,7 +6,7 @@ identical streams; nothing here touches global random state.
 
 import random
 
-from .posets import OrderIdeal, enumerate_ideal_masks
+from .posets import enumerate_ideal_masks
 from .rational import Rat
 from .tableaux import Tableau
 
@@ -44,9 +44,9 @@ def random_polytope_point(poset, rng, denominator=20):
 
 
 def random_ideal(poset, rng):
-    "A uniformly random order ideal, drawn from the poset's one enumeration of J(P)."
-    masks = enumerate_ideal_masks(poset)
-    return OrderIdeal.from_mask(poset, rng.choice(masks))
+    "A uniformly random order ideal: one of the poset's shared ideals of J(P)."
+    enumerate_ideal_masks(poset)
+    return rng.choice(poset._ideals)
 
 
 def random_linear_extension(poset, rng):

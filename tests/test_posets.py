@@ -244,3 +244,11 @@ def test_index_of_unknown_label():
     p = rectangle_poset(2, 2)
     with pytest.raises(PosetError):
         p.index_of((9, 9))
+
+
+def test_rc_posets_skip_the_strict_down_masks():
+    poset = rectangle_poset(1, 40000)
+    assert "strict_down_masks" not in poset.__dict__
+    # A redundant cover cannot climb one rank, so rc still refuses it.
+    with pytest.raises(PosetError, match="one rank up"):
+        Poset(3, [(0, 1), (1, 2), (0, 2)], rc=[(0, 0), (1, 1), (0, 2)])

@@ -2,11 +2,15 @@
 
 The kernel's plain toggle loop is the oracle: every tabled sweep must
 give the mask the loop gives, the first time a mask is seen (cold) and
-when its image is read back (warm).
+when its image is read back (warm).  Once J(P) is enumerated, a step
+returns the poset's shared ideal for its image.
 """
+
+from math import comb
 
 import pytest
 
+from togglekit import posets, verify
 from togglekit.kernels import pybitops
 from togglekit.kernels.pybitops import _sweep_loop
 from togglekit.posets import (
@@ -50,7 +54,7 @@ def test_tabled_sweeps_equal_the_loop_cold_and_warm(poset):
         for _ in ("cold", "warm"):
             got = [step(OrderIdeal.from_mask(poset, m)).mask for m in masks]
             assert got == expected
-        _, images = poset.sweep_table(order)
+        _, _, images = poset.sweep_table(order)
         assert images == expected  # every image was recorded on the cold pass
 
 
@@ -131,3 +135,79 @@ def test_ideal_masks_are_enumerated_once_per_poset(monkeypatch):
     for _ in range(25):
         random_ideal(poset, rng)
     assert calls == [poset.size]
+
+
+@pytest.mark.parametrize("poset", _posets(), ids=repr)
+def test_steps_return_the_shared_enumerated_ideals(poset):
+    shared = enumerate_ideals(poset)
+    masks = enumerate_ideal_masks(poset)
+    assert shared == enumerate_ideals(poset) and shared is not enumerate_ideals(poset)
+    assert [i.mask for i in shared] == masks
+    for order, step in _steps(poset):
+        for i in shared:
+            image = step(i)
+            assert image is shared[masks.index(image.mask)]
+
+
+def test_fresh_ideals_equal_their_shared_twins():
+    poset = rectangle_poset(3, 4)
+    for shared in enumerate_ideals(poset):
+        fresh = OrderIdeal(poset, shared.indices)
+        assert fresh is not shared
+        assert fresh == shared and shared == fresh
+        assert hash(fresh) == hash(shared)
+    twin = enumerate_ideals(rectangle_poset(3, 4))[5]
+    assert twin == enumerate_ideals(poset)[5]  # an equal poset built apart
+
+
+@pytest.mark.parametrize("poset", _posets(), ids=repr)
+def test_filled_slots_hold_the_enumerated_ints(poset):
+    masks = enumerate_ideal_masks(poset)
+    held = {id(m) for m in masks}
+    for order, step in _steps(poset):
+        for ideal in enumerate_ideals(poset):
+            step(ideal)
+        table_masks, index, images = poset.sweep_table(order)
+        assert table_masks is masks and index is poset._ideal_index
+        assert all(id(image) in held for image in images)
+
+
+def test_random_ideal_draws_the_shared_ideals_from_the_same_stream():
+    poset = rectangle_poset(3, 3)
+    shared = enumerate_ideals(poset)
+    masks = enumerate_ideal_masks(poset)
+    rng, twin = seeded_rng(11), seeded_rng(11)
+    for _ in range(30):
+        ideal = random_ideal(poset, rng)
+        assert ideal is shared[masks.index(twin.choice(masks))]
+
+
+@pytest.mark.parametrize("a,b", [(3, 3), (2, 4)])
+def test_order_suite_makes_one_kernel_sweep_per_ideal_step(monkeypatch, a, b):
+    """The order suite's call structure, as perfbench's trace gate counts it.
+
+    Every binding of the ideal maps is wrapped, as perfbench/tracer.py does,
+    and both counts must equal the formula of perfbench/run.py:per_layer:
+    two maps, each raised to the (a+b)-th power on every ideal of J(P).
+    """
+    counts = {"steps": 0, "sweeps": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("rowmotion_ideal", "promotion_ideal", "file_toggle_ideal", "toggle_ideal")
+    wrapped = {name: counted(getattr(posets, name), "steps") for name in names}
+    for module in (posets, verify):
+        for name, wrapper in wrapped.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(
+        verify, "_IDEAL_MAPS", tuple((n, wrapped[f.__name__]) for n, f in verify._IDEAL_MAPS)
+    )
+    monkeypatch.setattr(pybitops, "sweep", counted(pybitops.sweep, "sweeps"))
+    assert SUITES["order"](rectangle_poset(a, b), samples=2, seed=1)["pass"]
+    want = 2 * comb(a + b, a) * (a + b)
+    assert counts == {"steps": want, "sweeps": want}
