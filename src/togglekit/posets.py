@@ -29,6 +29,13 @@ misses, masks outside J(P), and every sweep of a poset whose J(P) was
 never enumerated, which builds no table; those steps return a new
 OrderIdeal.
 
+A warm step is two frames: when the poset's last table belongs to the
+very order tuple the map holds, rowmotion_ideal and promotion_ideal
+call the kernel themselves, with that table and the cover masks kept
+beside it, and read the shared ideal from the index.  Every other
+step, file toggles included, goes through _sweep, which finds the
+table by the order's contents.
+
 Enumeration is refused, with a PosetError, when J(P) would hold more
 than MAX_IDEALS order ideals: rectangles are checked against the exact
 binomial before enumerating, other posets by a running count.
@@ -117,9 +124,11 @@ class Poset:
         self._ideals = None  # one shared OrderIdeal per mask of _ideal_masks
         self._sweep_tables = {}  # toggle order tuple -> (masks, index, images)
         self._schedules = {}  # (order, times) -> dynamics._schedule's plan
-        # The last (order, table) served: repeated sweeps of one order skip
-        # hashing the order tuple.
-        self._last_table = (None, None)
+        # The last (order, table) served, with the lower and upper cover
+        # masks it is valid for: repeated sweeps of one order skip hashing
+        # the order tuple, and a warm ideal step reads every kernel
+        # argument but the mask from this one tuple.
+        self._last_table = (None, None, None, None)
 
     def _check_irredundant(self):
         # With rc, the check in __init__ makes every cover climb exactly one
@@ -263,14 +272,14 @@ class Poset:
         masks = self._ideal_masks
         if masks is None:
             return None
-        last_order, table = self._last_table
+        last_order, table, _, _ = self._last_table
         if order is not last_order:
             table = self._sweep_tables.get(order)
             if table is None:
                 table = self._sweep_tables[order] = (
                     masks, self._ideal_index, [None] * len(masks)
                 )
-            self._last_table = (order, table)
+            self._last_table = (order, table, self.lower_masks, self.upper_masks)
         return table
 
     def leq(self, x, y):
@@ -460,12 +469,30 @@ def _sweep(ideal, order):
 
 def rowmotion_ideal(ideal):
     'Toggle every element once, top rank first.'
-    return _sweep(ideal, ideal.poset.rowmotion_order)
+    poset = ideal.poset
+    order = poset.rowmotion_order
+    last_order, table, lows, ups = poset._last_table
+    if order is not last_order:
+        return _sweep(ideal, order)
+    mask = pybitops.sweep(ideal.mask, order, lows, ups, table)
+    k = table[1].get(mask)
+    if k is None:
+        return OrderIdeal.from_mask(poset, mask, validate=False)
+    return poset._ideals[k]
 
 
 def promotion_ideal(ideal):
     'Toggle every element once, sweeping files left to right (needs an rc embedding).'
-    return _sweep(ideal, ideal.poset.promotion_order)
+    poset = ideal.poset
+    order = poset.promotion_order
+    last_order, table, lows, ups = poset._last_table
+    if order is not last_order:
+        return _sweep(ideal, order)
+    mask = pybitops.sweep(ideal.mask, order, lows, ups, table)
+    k = table[1].get(mask)
+    if k is None:
+        return OrderIdeal.from_mask(poset, mask, validate=False)
+    return poset._ideals[k]
 
 
 def file_toggle_ideal(ideal, index):

@@ -11,6 +11,12 @@ from .posets import OrderIdeal, Poset, PosetError, _is_int, sorted_indices
 from .rational import format_rat, parse_rat
 from .tableaux import GtPattern, Tableau, TableauError
 
+# Largest max_entry a tableau file may declare.  A tableau's promotion
+# makes max_entry - 1 Bender-Knuth passes and its array has at least
+# max_entry - 1 elements, so the bound keeps every tableau action on a
+# small input fast.
+MAX_ENTRY = 20000
+
 
 def _label_to_json(label):
     return list(label) if isinstance(label, tuple) else label
@@ -128,6 +134,10 @@ def tableau_from_json(obj):
         raise TableauError("tableau rows must be lists of integers")
     if not _is_int(obj["max_entry"]):
         raise TableauError("tableau max_entry must be an integer")
+    if obj["max_entry"] > MAX_ENTRY:
+        raise TableauError(
+            f"tableau max_entry {obj['max_entry']} is above the limit of {MAX_ENTRY}"
+        )
     return Tableau(rows, obj["max_entry"])
 
 

@@ -16,6 +16,12 @@ from .posets import PosetError, rectangle_poset
 from .rational import Rat
 
 
+# Most slots tableau_to_pattern may build: n(n+1)/2 for max entry n.
+MAX_PATTERN_SLOTS = 10**6
+# Most elements tableau_to_array may build: A(n-A) for A rows, max entry n.
+MAX_ARRAY_SIZE = 20000
+
+
 class TableauError(ValueError):
     'A tableau or pattern failed validation.'
 
@@ -112,6 +118,11 @@ def tableau_to_pattern(tableau):
     counts the 1s.
     """
     n = tableau.max_entry
+    if n * (n + 1) // 2 > MAX_PATTERN_SLOTS:
+        raise TableauError(
+            f"the pattern of max entry {n} has {n * (n + 1) // 2} slots, "
+            f"more than the limit of {MAX_PATTERN_SLOTS}"
+        )
     rows = []
     for i in range(1, n + 1):
         bound = n + 1 - i
@@ -227,6 +238,11 @@ def tableau_to_array(tableau):
     a, b = len(rows), len(rows[0])
     if a >= n:
         raise TableauError("pattern is not of rectangular type")
+    if a * (n - a) > MAX_ARRAY_SIZE:
+        raise TableauError(
+            f"the array on [{a}]x[{n - a}] has {a * (n - a)} elements, "
+            f"more than the limit of {MAX_ARRAY_SIZE}"
+        )
     poset = rectangle_poset(a, n - a)
     return PL.array(poset, [Rat(bisect_right(rows[a - i], a + j - i), b) for i, j in poset.labels])
 

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -343,6 +344,22 @@ def test_tableau_rejects_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run_cli(capsys, "tableau", "to-gt", "--input", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("action", ["to-gt", "to-array", "promote", "bridge-check"])
+def test_tableau_with_a_huge_max_entry_exits_2_at_once(tmp_path, action):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"rows": [[1]], "max_entry": 10**7}))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "togglekit", "tableau", action, "--input", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "above the limit" in proc.stderr
 
 
 def test_console_entry_point_runs():

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from helpers import bir_array, grid22, pl_array
-from togglekit import BIRATIONAL, PL
+from togglekit import BIRATIONAL, PL, serialize
 from togglekit.posets import OrderIdeal, Poset, PosetError, rectangle_poset, triangle_poset
 from togglekit.rational import Rat
 from togglekit.serialize import (
+    MAX_ENTRY,
     array_from_json,
     array_to_json,
     dumps_canonical,
@@ -139,3 +140,15 @@ def test_rectangle_field_must_match_the_poset(poset, shape):
 def test_malformed_tableau_json_raises_tableau_error(doc):
     with pytest.raises(TableauError):
         tableau_from_json(doc)
+
+
+def test_tableau_max_entry_is_bounded_before_anything_is_built(monkeypatch):
+    assert tableau_from_json({"rows": [[1]], "max_entry": MAX_ENTRY}).max_entry == MAX_ENTRY
+
+    def refuse(*args):
+        raise AssertionError("Tableau built for a refused max_entry")
+
+    monkeypatch.setattr(serialize, "Tableau", refuse)
+    for max_entry in (MAX_ENTRY + 1, 10**7, 10**100):
+        with pytest.raises(TableauError, match="above the limit"):
+            tableau_from_json({"rows": [[1]], "max_entry": max_entry})

@@ -109,6 +109,65 @@ def test_one_kernel_sweep_per_ideal_step(monkeypatch):
     for ideal in ideals + ideals:
         rowmotion_ideal(ideal)
     assert calls == masks + masks
+    for step in (promotion_ideal, rowmotion_ideal):
+        calls.clear()
+        for ideal in ideals + ideals:
+            step(ideal)
+        assert calls == masks + masks
+    calls.clear()
+    for ideal in ideals:
+        rowmotion_ideal(ideal)
+        promotion_ideal(ideal)
+    assert calls == [m for m in masks for _ in "rp"]
+    top = OrderIdeal.from_mask(poset, 1 << (poset.size - 1), validate=False)
+    calls.clear()
+    for step in (rowmotion_ideal, rowmotion_ideal, promotion_ideal, promotion_ideal):
+        step(top)  # not in J(P): cold, then warm with an image outside J(P)
+    assert calls == [top.mask] * 4
+
+
+def test_interleaved_maps_switch_tables_every_step(monkeypatch):
+    """Rowmotion, promotion, file toggles and a patched rowmotion order in turn.
+
+    No two consecutive steps share a toggle order, so every step switches
+    the poset's last table; each must still give the loop's image as the
+    shared ideal, cold and warm.
+    """
+    poset = rectangle_poset(3, 4)
+    shared = enumerate_ideals(poset)
+    masks = enumerate_ideal_masks(poset)
+    lows, ups = poset.lower_masks, poset.upper_masks
+    flipped = tuple(reversed(poset.rowmotion_order))
+    steps = _steps(poset) + [(flipped, rowmotion_ideal)]
+    current = [None]
+    monkeypatch.setattr(Poset, "rowmotion_order", property(lambda p: current[0]))
+    last = None
+    for _ in ("cold", "warm"):
+        for ideal in shared:
+            for order, step in steps:
+                if step is rowmotion_ideal:
+                    current[0] = order
+                image = step(ideal)
+                assert image.mask == _sweep_loop(ideal.mask, order, lows, ups)
+                assert image is shared[masks.index(image.mask)]
+                assert poset._last_table[0] is order is not last
+                last = order
+
+
+def test_warm_steps_build_no_ideal(monkeypatch):
+    poset = rectangle_poset(3, 4)
+    shared = enumerate_ideals(poset)
+    for _, step in _steps(poset):
+        for ideal in shared:
+            step(ideal)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm step built an OrderIdeal")
+
+    monkeypatch.setattr(OrderIdeal, "from_mask", refuse)
+    for _, step in _steps(poset):
+        for ideal in shared:
+            assert step(step(ideal)) in shared  # a switch, then a repeat
 
 
 @pytest.mark.parametrize("poset", _posets(), ids=repr)

@@ -12,6 +12,7 @@ from togglekit import (
     tableau_promotion,
     tableau_to_array,
     tableau_to_pattern,
+    tableaux,
 )
 from togglekit.posets import rectangle_poset
 from togglekit.rational import Rat
@@ -195,3 +196,22 @@ def test_array_of_a_large_max_entry_skips_the_pattern():
     f = tableau_to_array(Tableau([[1]], 20000))
     assert f.poset.rectangle_shape == (1, 19999)
     assert set(f.values) == {Rat(1)}
+
+
+def test_pattern_refuses_more_than_max_pattern_slots(monkeypatch):
+    with pytest.raises(TableauError, match="1000405 slots"):
+        tableau_to_pattern(Tableau([[1]], 1414))  # 1413 gives 998991 slots
+    monkeypatch.setattr(tableaux, "MAX_PATTERN_SLOTS", 10)
+    assert tableau_to_pattern(Tableau([[1]], 4)).size == 4  # 10 slots
+    with pytest.raises(TableauError, match="more than the limit of 10"):
+        tableau_to_pattern(Tableau([[1]], 5))
+
+
+def test_array_refuses_more_than_max_array_size(monkeypatch):
+    column = Tableau([[i] for i in range(1, 143)], 284)
+    with pytest.raises(TableauError, match=r"\[142\]x\[142\] has 20164 elements"):
+        tableau_to_array(column)
+    monkeypatch.setattr(tableaux, "MAX_ARRAY_SIZE", 6)
+    assert tableau_to_array(Tableau([[1, 1], [2, 2]], 5)).poset.size == 6
+    with pytest.raises(TableauError, match="more than the limit of 6"):
+        tableau_to_array(Tableau([[1, 1], [2, 2]], 6))
