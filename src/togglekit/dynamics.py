@@ -25,9 +25,10 @@ whole walk and builds one rational per read entry:
   int arithmetic.
 - The birational lane holds each value as a (numerator, denominator)
   pair, builds the lower sum, the upper parallel sum and L*R/v unreduced,
-  and reduces the result with a single gcd per toggle.  It follows the
-  fold order of the generic rules step for step, so it raises
-  ZeroDivisionError on exactly the inputs where they do.
+  and reduces the result with a single gcd per toggle.  It walks only
+  positive input, where no rule can divide by zero; when a value or a
+  boundary value is not positive it declines, and iterate runs the
+  reference loop below, which raises where the rules divide by zero.
 
 A lane runs its walk from a schedule (_schedule), built once per poset,
 order and times: for each sweep, the live toggles in order, then the
@@ -36,10 +37,7 @@ entry, directly or through later toggles that take x's value as their
 own previous value or as a cover's; one backward pass over the sweeps
 decides it.  The recombination shears read column j after j - 1 sweeps,
 so half of their toggles are dead.  Skipping a dead toggle changes no
-read entry, but it could skip a division by zero: the birational lane
-uses the live schedule only when every value and both boundary values
-are positive, where no rule can divide by zero, and runs every toggle
-otherwise.
+read entry.
 
 An algebra built directly with ToggleAlgebra(...) has no lane and walks
 through _toggled_value, every toggle of every sweep, one at a time with
@@ -84,7 +82,8 @@ class ToggleAlgebra:
         self.top_value = top_value
         self.positive_domain = positive_domain
         # sweep(poset, values, boundary, order, times) -> the walked values
-        # (see iterate), or None for the generic toggle-by-toggle loop.
+        # (see iterate); None declines the walk, and so does a None slot:
+        # iterate then runs the generic toggle-by-toggle loop.
         self.sweep = sweep
 
     @property
@@ -111,44 +110,38 @@ class ToggleAlgebra:
 
     def array(self, poset, values, boundary=None):
         'Wrap values (anything Rat accepts) as a validated PArray.'
-        values = tuple(Rat(v) for v in values)
-        if boundary is None:
-            boundary = self.boundary
-        else:
-            boundary = (Rat(boundary[0]), Rat(boundary[1]))
-        if self.positive_domain and any(v <= 0 for v in values + boundary):
-            bad = next(v for v in values + boundary if v <= 0)
-            raise ValueError(f"{self.name} arrays must be strictly positive, got {bad}")
-        return PArray(poset, values, boundary)
+        f = PArray(poset, values, self.boundary if boundary is None else boundary)
+        if self.positive_domain:
+            bad = next((v for v in f.values + f.boundary if v <= 0), None)
+            if bad is not None:
+                raise ValueError(f"{self.name} arrays must be strictly positive, got {bad}")
+        return f
 
     def __repr__(self):
         return f"ToggleAlgebra({self.name!r})"
 
 
 def _schedule(poset, order, times):
-    """(live, full): for each sweep k = 1..max(times), the toggles to run
-    as (x, lower covers, upper covers) in order, and the entries x of
-    order with times[x] == k to read after them.  full keeps every toggle.
+    """For each sweep k = 1..max(times), the live toggles to run as
+    (x, lower covers, upper covers) in order, and the entries x of order
+    with times[x] == k to read after them.
     """
     key = (tuple(order), tuple(times))
     plan = poset._schedules.get(key)
     if plan is None:
         lower, upper = poset.lower_covers, poset.upper_covers
-        steps = tuple((x, lower[x], upper[x]) for x in order)
-        reads = [
-            tuple(x for x in order if times[x] == k)
-            for k in range(1, max(times, default=0) + 1)
-        ]
-        live, needed = [], set()  # entries whose current value is read later
-        for due in reversed(reads):
+        steps = [(x, lower[x], upper[x]) for x in order]
+        plan, needed = [], set()  # entries whose current value is read later
+        for k in range(max(times, default=0), 0, -1):
+            due = tuple(x for x in order if times[x] == k)
             needed.update(due)
             kept = []
             for step in reversed(steps):
                 if step[0] in needed:
                     kept.append(step)
                     needed.update(step[1], step[2])
-            live.append((kept[::-1], due))
-        plan = poset._schedules[key] = (live[::-1], [(steps, due) for due in reads])
+            plan.append((kept[::-1], due))
+        plan = poset._schedules[key] = plan[::-1]
     return plan
 
 
@@ -162,7 +155,7 @@ def _pl_walk(poset, values, boundary, order, times):
     # rational once; the input values seed the table.
     rats = dict(zip(ints, values))
     out = list(values)
-    for toggles, reads in _schedule(poset, order, times)[0]:
+    for toggles, reads in _schedule(poset, order, times):
         for x, lows, ups in toggles:
             # Explicit loops: max() and min() of a comprehension cost three
             # times as much on covers of one or two elements.
@@ -189,12 +182,10 @@ def _birational_walk(poset, values, boundary, order, times):
     nums = [v.numerator for v in values]
     dens = [v.denominator for v in values]
     (bottom_n, bottom_d), (top_n, top_d) = ((b.numerator, b.denominator) for b in boundary)
-    live, full = _schedule(poset, order, times)
-    # The rules divide by zero only on non-positive input, so only a
-    # positive walk may skip the toggles no read entry depends on.
-    positive = min(nums, default=1) > 0 and bottom_n > 0 and top_n > 0
+    if min(nums, default=1) <= 0 or bottom_n <= 0 or top_n <= 0:
+        return None
     out = list(values)
-    for toggles, reads in live if positive else full:
+    for toggles, reads in _schedule(poset, order, times):
         for x, lows, ups in toggles:
             if lows:
                 ln, ld = nums[lows[0]], dens[lows[0]]
@@ -208,13 +199,8 @@ def _birational_walk(poset, values, boundary, order, times):
                     # (rn/rd) * (n/d) / (rn/rd + n/d) = rn*n / (rn*d + n*rd)
                     n, d = nums[y], dens[y]
                     rn, rd = rn * n, rn * d + n * rd
-                    if not rd:
-                        raise ZeroDivisionError("parallel sum of values adding to zero")
             else:
                 rn, rd = top_n, top_d
-            if not nums[x]:
-                raise ZeroDivisionError("birational toggle of a zero entry")
-            # Denominators may go negative here; Rat normalises the sign on reading.
             n, d = ln * rn * dens[x], ld * rd * nums[x]
             g = gcd(n, d)
             nums[x], dens[x] = n // g, d // g
@@ -323,7 +309,9 @@ def toggle(alg, f, x):
 def iterate(alg, f, order, times):
     'Each entry x of f as it stands after times[x] sweeps of order; untouched x keep f(x).'
     if alg.sweep is not None:
-        return f._replace(alg.sweep(f.poset, f.values, f.boundary, order, times))
+        walked = alg.sweep(f.poset, f.values, f.boundary, order, times)
+        if walked is not None:
+            return f._replace(walked)
     poset, boundary = f.poset, f.boundary
     values, out = list(f.values), list(f.values)
     for k in range(1, max(times, default=0) + 1):

@@ -9,8 +9,6 @@ ToggleAlgebra, so the same code yields the birational factorization when
 handed the birational instance.
 """
 
-from functools import lru_cache
-
 from .dynamics import PL, toggle
 from .rational import ONE, ZERO
 
@@ -25,31 +23,23 @@ def in_order_polytope(f):
     return all(f[lo] <= f[hi] for lo, hi in poset.covers)
 
 
-@lru_cache(maxsize=None)
-def maximal_chains(poset):
-    'All maximal chains, as tuples of indices from a minimal to a maximal element.'
+def _chain_sums(g):
+    """Best chain sum from the virtual bottom up to each element.
+
+    One upward pass over the linear extension: the maximum over saturated
+    chains ending at x of the sum of g along the chain.
+    """
+    lower = g.poset.lower_covers
     out = []
-
-    def grow(chain):
-        ups = poset.upper_covers[chain[-1]]
-        if not ups:
-            out.append(tuple(chain))
-            return
-        for up in ups:
-            grow(chain + [up])
-
-    for x in poset.minimal_elements:
-        grow([x])
-    return tuple(out)
+    for x, v in enumerate(g.values):
+        out.append(v + max(out[y] for y in lower[x]) if lower[x] else v)
+    return out
 
 
 def in_chain_polytope(f):
     'Nonnegative everywhere, with every maximal-chain sum at most 1.'
-    if any(v < ZERO for v in f.values):
-        return False
-    return all(
-        sum((f[x] for x in chain), ZERO) <= ONE for chain in maximal_chains(f.poset)
-    )
+    # On nonnegative values the largest chain sum is a maximal chain's.
+    return all(v >= ZERO for v in f.values) and max(_chain_sums(f), default=ZERO) <= ONE
 
 
 def complement_map(alg, f):
@@ -109,20 +99,10 @@ def transfer(f):
 
 
 def transfer_inverse(g):
-    """Chain-to-order transfer: best chain sum from the virtual bottom up.
-
-    Computed by upward accumulation; equals the maximum over saturated
-    chains ending at x of the sum of g along the chain.
-    """
+    'Chain-to-order transfer: best chain sum from the virtual bottom up.'
     if not in_chain_polytope(g):
         raise ValueError("inverse transfer expects a point of the chain polytope")
-    poset = g.poset
-    out = [None] * poset.size
-    for x in range(poset.size):
-        lows = poset.lower_covers[x]
-        agg = max(out[y] for y in lows) if lows else ZERO
-        out[x] = g[x] + agg
-    return g._replace(out)
+    return g._replace(_chain_sums(g))
 
 
 def pl_three_step(f):

@@ -125,8 +125,7 @@ class Poset:
         self._sweep_tables = {}  # toggle order tuple -> (masks, index, images)
         self._schedules = {}  # (order, times) -> dynamics._schedule's plan
         # The last (order, table) served, with the lower and upper cover
-        # masks it is valid for: repeated sweeps of one order skip hashing
-        # the order tuple, and a warm ideal step reads every kernel
+        # masks it is valid for: a warm ideal step reads every kernel
         # argument but the mask from this one tuple.
         self._last_table = (None, None, None, None)
 
@@ -272,14 +271,12 @@ class Poset:
         masks = self._ideal_masks
         if masks is None:
             return None
-        last_order, table, _, _ = self._last_table
-        if order is not last_order:
-            table = self._sweep_tables.get(order)
-            if table is None:
-                table = self._sweep_tables[order] = (
-                    masks, self._ideal_index, [None] * len(masks)
-                )
-            self._last_table = (order, table, self.lower_masks, self.upper_masks)
+        table = self._sweep_tables.get(order)
+        if table is None:
+            table = self._sweep_tables[order] = (
+                masks, self._ideal_index, [None] * len(masks)
+            )
+        self._last_table = (order, table, self.lower_masks, self.upper_masks)
         return table
 
     def leq(self, x, y):

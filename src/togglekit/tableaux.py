@@ -9,7 +9,7 @@ involution acts as the i-th file toggle, so tableau promotion matches
 piecewise-linear promotion.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .dynamics import PL, PArray
 from .posets import PosetError, rectangle_poset
@@ -50,6 +50,14 @@ class Tableau:
                     raise TableauError(f"column {c + 1} is not strictly increasing")
         self.rows = rows
         self.max_entry = int(max_entry)
+
+    @classmethod
+    def _trusted(cls, rows, max_entry):
+        'A tableau from rows of int tuples known to be semistandard, unchecked.'
+        new = object.__new__(cls)
+        new.rows = rows
+        new.max_entry = max_entry
+        return new
 
     @property
     def shape(self):
@@ -259,31 +267,30 @@ def bender_knuth(tableau, index):
     below it; an entry equal to index + 1 is locked when index sits
     directly above.  In each row the free entries form a consecutive
     block of s copies of index followed by t copies of index + 1, which
-    the involution rewrites as t copies followed by s copies.
+    the involution rewrites as t copies followed by s copies.  Rows
+    weakly increase, so the index and index + 1 entries of a row are
+    one bisect range, its locked copies of index a prefix and its
+    locked copies of index + 1 a suffix.  Only rows with s != t change;
+    the result is semistandard by construction and is not revalidated.
     """
     i = int(index)
     if not 1 <= i < tableau.max_entry:
         raise TableauError(
             f"involution index {i} outside 1..{tableau.max_entry - 1}"
         )
-    rows = [list(row) for row in tableau.rows]
+    rows = tableau.rows
+    out = list(rows)
     for r, row in enumerate(rows):
-        free = []
-        for c, v in enumerate(row):
-            if v == i:
-                below = rows[r + 1][c] if r + 1 < len(rows) and c < len(rows[r + 1]) else None
-                if below != i + 1:
-                    free.append(c)
-            elif v == i + 1:
-                above = rows[r - 1][c] if r > 0 else None
-                if above != i:
-                    free.append(c)
-        if not free:
+        lo = bisect_left(row, i)
+        hi = bisect_right(row, i + 1, lo)
+        if lo == hi:
             continue
-        s = sum(1 for c in free if row[c] == i)
-        for pos, c in enumerate(free):
-            row[c] = i if pos < len(free) - s else i + 1
-    return Tableau(rows, tableau.max_entry)
+        mid = bisect_right(row, i, lo, hi)
+        start = max(lo, min(mid, bisect_right(rows[r + 1], i + 1))) if r + 1 < len(rows) else lo
+        stop = min(hi, max(mid, bisect_left(rows[r - 1], i))) if r else hi
+        if mid - start != stop - mid:
+            out[r] = row[:start] + (i,) * (stop - mid) + (i + 1,) * (mid - start) + row[stop:]
+    return Tableau._trusted(tuple(out), tableau.max_entry)
 
 
 def tableau_promotion(tableau):

@@ -8,6 +8,8 @@ walk of those orders that reads each entry after its own number of
 sweeps, must give the same array both ways, or raise ZeroDivisionError
 both ways.  The lanes run only the toggles that a read entry depends on;
 the schedule tests pin how many that is on the walks the suites make.
+The birational lane declines input with a value or boundary value that
+is not positive, so the reference loop runs and raises there.
 """
 
 from fractions import Fraction
@@ -179,9 +181,8 @@ def test_walk_reads_each_entry_after_its_own_sweeps(alg):
 
 
 def toggle_counts(poset, order, times):
-    'Toggles of the live and of the full schedule of a walk.'
-    live, full = _schedule(poset, order, times)
-    return tuple(sum(len(toggles) for toggles, _ in plan) for plan in (live, full))
+    'Toggles of the schedule of a walk.'
+    return sum(len(toggles) for toggles, _ in _schedule(poset, order, times))
 
 
 @pytest.mark.parametrize("a", range(1, 7))
@@ -191,16 +192,15 @@ def test_schedules_run_only_the_live_toggles(a, b):
     depths = _depths(poset, False)
     # The shears read column j after j - 1 sweeps: half their toggles are live.
     for order in (poset.promotion_order[::-1], poset.rowmotion_order):
-        assert toggle_counts(poset, order, depths) == (a * b * (b - 1) // 2, a * b * (b - 1))
+        assert toggle_counts(poset, order, depths) == a * b * (b - 1) // 2
     # The order suite reads every entry after a + b sweeps, so nothing is dead.
-    full = a * b * (a + b)
-    assert toggle_counts(poset, poset.rowmotion_order, [a + b] * poset.size) == (full, full)
+    assert toggle_counts(poset, poset.rowmotion_order, [a + b] * poset.size) == a * b * (a + b)
 
 
 def test_reciprocity_schedule_on_six_by_six():
     poset = rectangle_poset(6, 6)
     times = [i + j - 1 for i, j in poset.labels]
-    assert toggle_counts(poset, poset.rowmotion_order, times) == (216, 396)
+    assert toggle_counts(poset, poset.rowmotion_order, times) == 216
 
 
 @pytest.mark.parametrize("shear", [recombine, recombine_inverse])
@@ -209,7 +209,7 @@ def test_birational_lane_raises_on_a_zero_whose_toggles_are_all_dead(shear):
     zero = poset.index_of((2, 1))
     # Column 1 is read before any sweep, so no live toggle touches (2, 1) itself.
     for order in (poset.promotion_order[::-1], poset.rowmotion_order):
-        live, _ = _schedule(poset, order, _depths(poset, False))
+        live = _schedule(poset, order, _depths(poset, False))
         assert all(x != zero for toggles, _ in live for x, _, _ in toggles)
     values = [Rat(1)] * poset.size
     values[zero] = Rat(0)

@@ -14,9 +14,9 @@ from togglekit import (
     transfer,
     transfer_inverse,
 )
-from togglekit.polytopes import complement_map, cumulate_map, maximal_chains, transfer_map
+from togglekit.polytopes import complement_map, cumulate_map, transfer_map
 from togglekit.posets import Poset, rectangle_poset, triangle_poset
-from togglekit.rational import ZERO, Rat
+from togglekit.rational import ONE, ZERO, Rat
 from togglekit.sampling import random_polytope_point, random_positive_array, seeded_rng
 
 FENCE = Poset(5, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4)])
@@ -27,11 +27,6 @@ def test_order_polytope_membership():
     assert in_order_polytope(pl_array(poset, "1/10", "1/5", "3/10", "2/5"))
     assert not in_order_polytope(pl_array(poset, "1/5", "1/10", "3/10", "2/5"))
     assert not in_order_polytope(pl_array(poset, 0, 0, 0, 2))
-
-
-def test_maximal_chains_of_the_square():
-    poset = grid22()
-    assert sorted(maximal_chains(poset)) == [(0, 1, 3), (0, 2, 3)]
 
 
 def test_chain_polytope_membership():
@@ -75,6 +70,55 @@ def _chain_sum_oracle(g):
     for x in range(poset.size):
         values.append(max(sum((g[c] for c in chain), ZERO) for chain in chains_to(x)))
     return g._replace(values)
+
+
+def _in_chain_polytope_oracle(f):
+    'Nonnegative, and at most 1 on every maximal chain, chains listed explicitly.'
+    poset = f.poset
+
+    def chains_from(x):
+        ups = poset.upper_covers[x]
+        return [(x,) + chain for y in ups for chain in chains_from(y)] if ups else [(x,)]
+
+    chains = [chain for x in poset.minimal_elements for chain in chains_from(x)]
+    return all(v >= ZERO for v in f.values) and all(
+        sum((f[x] for x in chain), ZERO) <= ONE for chain in chains
+    )
+
+
+POLYTOPE_POSETS = {
+    "2x2": grid22(),
+    "2x3": grid23(),
+    "3x3": rectangle_poset(3, 3),
+    "triangle-3": triangle_poset(3),
+    "triangle-4": triangle_poset(4),
+    "fence": FENCE,
+}
+
+
+@pytest.mark.parametrize("poset", POLYTOPE_POSETS.values(), ids=POLYTOPE_POSETS.keys())
+def test_chain_polytope_membership_agrees_with_chain_enumeration(poset):
+    rng = seeded_rng(11)
+    # A longest chain sums to 1 on average: points on both sides of the
+    # chain facets, and often on one; a few carry a negative entry.
+    den = 2 * (max(poset.ranks) + 1)
+    for _ in range(200):
+        values = [Rat(rng.randint(0, 4), den) for _ in range(poset.size)]
+        if rng.random() < 0.1:
+            values[rng.randrange(poset.size)] = Rat(-1, den)
+        f = PL.array(poset, values)
+        assert in_chain_polytope(f) == _in_chain_polytope_oracle(f)
+    for _ in range(10):
+        g = transfer(PL.array(poset, random_polytope_point(poset, rng)))
+        assert in_chain_polytope(g) and _in_chain_polytope_oracle(g)
+
+
+def test_chain_polytope_of_a_large_grid():
+    poset = rectangle_poset(15, 15)
+    g = PL.array(poset, [Rat(1, 29)] * poset.size)
+    assert in_chain_polytope(g)
+    assert transfer_inverse(g)[poset.size - 1] == ONE
+    assert not in_chain_polytope(g._replace([Rat(1, 28)] * poset.size))
 
 
 @pytest.mark.parametrize(

@@ -145,6 +145,48 @@ def test_bender_knuth_matches_file_toggles():
             assert tableau_to_array(bender_knuth(t, i)) == file_toggle(PL, f, i)
 
 
+def _bender_knuth_by_entry(tableau, i):
+    'The involution entry by entry: lock each i and i + 1 by its neighbour, then swap.'
+    rows = [list(row) for row in tableau.rows]
+    for r, row in enumerate(rows):
+        free = []
+        for c, v in enumerate(row):
+            if v == i:
+                below = rows[r + 1][c] if r + 1 < len(rows) and c < len(rows[r + 1]) else None
+                if below != i + 1:
+                    free.append(c)
+            elif v == i + 1:
+                above = rows[r - 1][c] if r > 0 else None
+                if above != i:
+                    free.append(c)
+        s = sum(1 for c in free if row[c] == i)
+        for pos, c in enumerate(free):
+            row[c] = i if pos < len(free) - s else i + 1
+    return Tableau(rows, tableau.max_entry)
+
+
+def test_bender_knuth_and_promotion_match_the_per_entry_oracle():
+    rng = seeded_rng(109)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+        n = rng.randint(max(rows, 2), rows + 5)
+        t = random_tableau(rows, cols, n, rng)
+        # Cutting rows to weakly decreasing widths keeps it semistandard.
+        widths = sorted((rng.randint(1, cols) for _ in range(rows)), reverse=True)
+        t = Tableau([row[:w] for row, w in zip(t.rows, widths)], n)
+        expected = t
+        for i in range(1, n):
+            assert bender_knuth(t, i) == _bender_knuth_by_entry(t, i)
+            expected = _bender_knuth_by_entry(expected, i)
+        assert tableau_promotion(t) == expected
+
+
+def test_promotion_of_a_long_row():
+    # Each involution swaps one free i with one free i + 1: a fixed point.
+    t = Tableau([range(1, 20001)], 20000)
+    assert tableau_promotion(t) == t
+
+
 def test_promotion_matches_the_array_route():
     rng = seeded_rng(103)
     for rows, cols, n in ((2, 3, 5), (2, 2, 4), (1, 3, 4)):
