@@ -8,22 +8,12 @@ Every function takes the algebra as an argument, so the piecewise-linear
 (max-plus) forms of the same identities come out of the same code.
 """
 
-from .dynamics import BIRATIONAL, file_toggle, iterate, promotion, rowmotion
-from .polytopes import three_step
+from .dynamics import file_toggle, iterate, promotion, rowmotion
 from .posets import PosetError
 
 
-def birational_three_step(f):
-    'Birational rowmotion via the transfer / cumulate / complement factorization.'
-    return three_step(BIRATIONAL, f)
-
-
-def _depths(poset, experimental):
+def _depths(poset):
     'Diagonal depth of each element: 0 on the bottom-left diagonal, up by 2 in rank+col.'
-    if poset.rectangle_shape is None and not experimental:
-        raise PosetError(
-            "recombination beyond rectangles is experimental; pass experimental=True"
-        )
     if poset.rc is None:
         raise PosetError("recombination needs an rc embedding")
     diag = [r + c for c, r in poset.rc]
@@ -41,7 +31,7 @@ def rowmotion_iterates(alg, f, count):
     return out
 
 
-def recombine(alg, f, experimental=False):
+def recombine(alg, f):
     """Shear the inverse-promotion iterates along diagonals.
 
     On [a]x[b] the entry of the result at (i,j) is the (i,j) entry of
@@ -50,36 +40,37 @@ def recombine(alg, f, experimental=False):
 
         recombine(promotion(f)) == rowmotion(recombine(f))
 
-    On other rc-embedded posets the column index generalizes to the
-    diagonal depth (rank+col)/2; that extension is untested territory,
-    so it must be requested with experimental=True.
+    Any diagonally graded rc embedding is sheared, with the diagonal
+    depth (rank+col)/2 for the column index; recombine_inverse undoes it
+    there, but the conjugation is proved only for rectangles.
     """
-    depths = _depths(f.poset, experimental)
-    return iterate(alg, f, f.poset.promotion_order[::-1], depths)
+    return iterate(alg, f, f.poset.promotion_order[::-1], _depths(f.poset))
 
 
-def recombine_inverse(alg, f, experimental=False):
+def recombine_inverse(alg, f):
     """Undo recombine: shear the rowmotion iterates along diagonals.
 
     Entry (i,j) of the result is the (i,j) entry of the (j-1)-th
-    rowmotion iterate of f, so this shear turns rowmotion into
-    promotion: recombine_inverse(rowmotion(f)) equals
+    rowmotion iterate of f, so on a rectangle this shear turns rowmotion
+    into promotion: recombine_inverse(rowmotion(f)) equals
     promotion(recombine_inverse(f)), and it carries the rowmotion orbit
     of f row-for-row onto the promotion orbit of its image.
     """
-    return iterate(alg, f, f.poset.rowmotion_order, _depths(f.poset, experimental))
+    return iterate(alg, f, f.poset.rowmotion_order, _depths(f.poset))
 
 
-def reciprocity_check(alg, f, shape):
+def reciprocity_check(alg, f):
     """Antipodal reciprocity on a rectangle.
 
-    For every cell (i,j) of [a]x[b], the (a+1-i, b+1-j) entry of the
-    (a+b+1-i-j)-th rowmotion iterate must be the reflection of f(i,j)
-    (its reciprocal birationally, 1 minus it piecewise-linearly).
-    Returns (ok, violations).
+    For every cell (i,j) of f's poset [a]x[b], the (a+1-i, b+1-j) entry
+    of the (a+b+1-i-j)-th rowmotion iterate must be the reflection of
+    f(i,j) (its reciprocal birationally, 1 minus it piecewise-linearly).
+    Returns (ok, violations); raises PosetError off rectangles.
     """
-    a, b = shape
     poset = f.poset
+    if poset.rectangle_shape is None:
+        raise PosetError("reciprocity needs a rectangle shape AxB")
+    a, b = poset.rectangle_shape
     # The entry at label (i, j) is read from rowmotion power i + j - 1.
     walk = iterate(alg, f, poset.rowmotion_order, [i + j - 1 for i, j in poset.labels])
     violations = []

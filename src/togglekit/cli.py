@@ -9,9 +9,9 @@ import json
 import os
 import sys
 
-from .dynamics import BIRATIONAL, PL, promotion, rowmotion
+from .dynamics import BIRATIONAL, MAPS, PL, promotion
 from .orbits import OrbitError, orbit
-from .posets import OrderIdeal, PosetError, promotion_ideal, rectangle_poset, rowmotion_ideal
+from .posets import OrderIdeal, PosetError, rectangle_poset
 from .rational import format_rat, parse_rat
 from .serialize import (
     array_to_json,
@@ -28,7 +28,6 @@ from .verify import SUITES, suite_bridge
 TWO_BY_TWO_ALIASES = {"w": (1, 1), "x": (2, 1), "y": (1, 2), "z": (2, 2)}
 
 REGIMES = ("combinatorial", "pl", "birational")
-MAPS = ("rowmotion", "promotion")
 
 
 def _parse_shape(text):
@@ -111,16 +110,15 @@ def cmd_orbit(args):
     poset = _resolve_poset(args)
     labels = _display_labels(poset)
     start = _parse_start(poset, args.regime, args.start)
+    ideal_step, array_step = MAPS[args.map]
     if args.regime == "combinatorial":
-        step = rowmotion_ideal if args.map == "rowmotion" else promotion_ideal
-        record = orbit(step, start, cap=args.cap)
+        record = orbit(ideal_step, start, cap=args.cap)
         states_json = [list(state.indices) for state in record]
         lines = [_format_ideal(state, labels) for state in record]
     else:
         alg = PL if args.regime == "pl" else BIRATIONAL
         f = alg.array(poset, start)
-        mapper = rowmotion if args.map == "rowmotion" else promotion
-        record = orbit(lambda g: mapper(alg, g), f, cap=args.cap)
+        record = orbit(lambda g: array_step(alg, g), f, cap=args.cap)
         states_json = [[format_rat(v) for v in state.values] for state in record]
         lines = [_format_values(state.values) for state in record]
     if args.json:
@@ -153,10 +151,15 @@ def cmd_verify(args):
     _check_cap(args)
     if args.samples is not None and args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
-    seed = args.seed
-    if seed is None and os.environ.get("TOGGLEKIT_SEED"):
-        seed = int(os.environ["TOGGLEKIT_SEED"])
-    kwargs = {"seed": seed, "cap": args.cap}
+    seed, env_seed = args.seed, os.environ.get("TOGGLEKIT_SEED")
+    if seed is None and env_seed:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"TOGGLEKIT_SEED must be an integer, got {env_seed!r}") from None
+    kwargs = {"seed": seed}
+    if args.suite == "homomesy":
+        kwargs["cap"] = args.cap
     if args.samples is not None:
         kwargs["samples"] = args.samples
     if args.suite == "bridge":

@@ -31,11 +31,11 @@ whole walk and builds one rational per read entry:
   reference loop below, which raises where the rules divide by zero.
 
 A lane runs its walk from a schedule (_schedule), built once per poset,
-order and times: for each sweep, the live toggles in order, then the
-entries read.  A toggle of x is live when its result reaches a read
-entry, directly or through later toggles that take x's value as their
-own previous value or as a cover's; one backward pass over the sweeps
-decides it.  The recombination shears read column j after j - 1 sweeps,
+order and times and cached on the poset, MAX_SCHEDULES plans at most:
+for each sweep, the live toggles in order, then the entries read.  A
+toggle of x is live when its result reaches a read entry, directly or
+through later toggles that take x's value as their own previous value
+or as a cover's; one backward pass over the sweeps decides it.  The recombination shears read column j after j - 1 sweeps,
 so half of their toggles are dead.  Skipping a dead toggle changes no
 read entry.
 
@@ -49,8 +49,12 @@ single toggles always use it.
 from functools import reduce
 from math import gcd, lcm
 
-from .posets import OrderIdeal, PosetError
+from .posets import OrderIdeal, PosetError, promotion_ideal, rowmotion_ideal
 from .rational import ONE, ZERO, Rat
+
+# Most (order, times) plans _schedule keeps per poset; past it the cache
+# starts over, so a caller that walks many different times stays bounded.
+MAX_SCHEDULES = 64
 
 
 def _parallel(x, y):
@@ -141,6 +145,8 @@ def _schedule(poset, order, times):
                     kept.append(step)
                     needed.update(step[1], step[2])
             plan.append((kept[::-1], due))
+        if len(poset._schedules) >= MAX_SCHEDULES:
+            poset._schedules.clear()
         plan = poset._schedules[key] = plan[::-1]
     return plan
 
@@ -350,6 +356,10 @@ def promotion_inverse(alg, f):
 def file_toggle(alg, f, index):
     'Toggle every element of one file; they are incomparable, so order is moot.'
     return _sweep(alg, f, f.poset.file_members(index))
+
+
+# Map name -> (ideal step, array step); suites report their checks in this order.
+MAPS = {"rowmotion": (rowmotion_ideal, rowmotion), "promotion": (promotion_ideal, promotion)}
 
 
 def vertex_from_ideal(ideal, boundary=(ZERO, ONE)):

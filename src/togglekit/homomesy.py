@@ -17,7 +17,7 @@ read off the aggregate with one sparse dot product or monomial.
 
 from math import prod
 
-from .dynamics import promotion, rowmotion
+from .dynamics import MAPS
 from .orbits import orbit
 from .posets import PosetError, rectangle_poset
 from .rational import ONE, Rat, ZERO, as_integer
@@ -95,12 +95,9 @@ def standard_functionals(a, b):
     return out
 
 
-_MAPS = {"rowmotion": rowmotion, "promotion": promotion}
-
-
 def step_map(alg, map_name):
     try:
-        stepper = _MAPS[map_name]
+        _, stepper = MAPS[map_name]
     except KeyError:
         raise PosetError(f"unknown map {map_name!r}; pick rowmotion or promotion") from None
     return lambda f: stepper(alg, f)

@@ -105,11 +105,6 @@ def transfer_inverse(g):
     return g._replace(_chain_sums(g))
 
 
-def pl_three_step(f):
-    'Piecewise-linear rowmotion via the three-step factorization.'
-    return three_step(PL, f)
-
-
 def pl_toggle(f, x):
     'Piecewise-linear toggle at one element (total on all rational arrays).'
     return toggle(PL, f, x)

@@ -74,13 +74,16 @@ class Poset:
     """
 
     def __init__(self, size, covers, labels=None, rc=None):
-        size = int(size)
+        if not _is_int(size):
+            raise PosetError(f"poset size must be an integer, got {size!r}")
         if size < 0:
             raise PosetError(f"negative size {size}")
         self.size = size
         seen = set()
         for pair in covers:
             lo, hi = pair
+            if not (_is_int(lo) and _is_int(hi)):
+                raise PosetError(f"cover {pair!r} must be a pair of integer indices")
             if not (0 <= lo < size and 0 <= hi < size):
                 raise PosetError(f"cover {pair!r} out of range for size {size}")
             if lo == hi:

@@ -16,6 +16,9 @@ from .tableaux import GtPattern, Tableau, TableauError
 # max_entry - 1 elements, so the bound keeps every tableau action on a
 # small input fast.
 MAX_ENTRY = 20000
+# Largest size a poset file may declare.  A poset without rc builds a
+# size x size bit table to check that its covers are irredundant.
+MAX_POSET_SIZE = 20000
 
 
 def _label_to_json(label):
@@ -49,6 +52,8 @@ def _check_poset_json(obj):
         raise PosetError(f"poset JSON lacks {', '.join(missing)}")
     if not _is_int(obj["size"]):
         raise PosetError("poset size must be an integer")
+    if obj["size"] > MAX_POSET_SIZE:
+        raise PosetError(f"poset size {obj['size']} is above the limit of {MAX_POSET_SIZE}")
     covers = obj["covers"]
     if not isinstance(covers, list) or not all(_is_int_list(c, 2) for c in covers):
         raise PosetError("poset covers must be a list of [lower, upper] index pairs")

@@ -206,18 +206,14 @@ def pattern_to_array(pattern):
     return PL.array(poset, values)
 
 
-def array_to_pattern(f, max_entry, columns):
+def array_to_pattern(f, columns):
     'Inverse of pattern_to_array for an array on [A] x [n-A].'
     shape = f.poset.rectangle_shape
     if shape is None:
         raise PosetError("array is not on a rectangle poset")
     a, width = shape
-    n = int(max_entry)
+    n = a + width
     b = int(columns)
-    if n - a != width:
-        raise TableauError(
-            f"array on [{a}]x[{width}] needs max entry {a + width}, got {n}"
-        )
     rows = [
         [b if i + k <= a else 0 for k in range(n + 1 - i)]
         for i in range(1, n + 1)
@@ -255,9 +251,9 @@ def tableau_to_array(tableau):
     return PL.array(poset, [Rat(bisect_right(rows[a - i], a + j - i), b) for i, j in poset.labels])
 
 
-def array_to_tableau(f, max_entry, columns):
+def array_to_tableau(f, columns):
     'Composite of array_to_pattern and pattern_to_tableau.'
-    return pattern_to_tableau(array_to_pattern(f, max_entry, columns))
+    return pattern_to_tableau(array_to_pattern(f, columns))
 
 
 def bender_knuth(tableau, index):

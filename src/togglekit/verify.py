@@ -22,6 +22,7 @@ from .birational import (
 )
 from .dynamics import (
     BIRATIONAL,
+    MAPS,
     PL,
     file_toggle,
     iterate,
@@ -132,20 +133,16 @@ def _regime_samples(poset, rng, count, start=None, regimes=("pl", "birational"))
     return out
 
 
-_IDEAL_MAPS = (("rowmotion", rowmotion_ideal), ("promotion", promotion_ideal))
-_ARRAY_MAPS = (("rowmotion", rowmotion), ("promotion", promotion))
-
-
-def suite_order(poset, samples=100, seed=None, cap=1000, start=None):
+def suite_order(poset, samples=100, seed=None, start=None):
     'The (a+b)-th power of rowmotion and of promotion is the identity, in all regimes.'
     a, b = _require_shape(poset, "order")
     n = a + b
-    names = [f"{map_name}-power-{n}-is-identity" for map_name, _ in _IDEAL_MAPS]
+    names = [f"{map_name}-power-{n}-is-identity" for map_name in MAPS]
 
     def ideal_returns(i):
         return [
             [] if _power(step, i, n) == i else [{"start": list(i.indices)}]
-            for _, step in _IDEAL_MAPS
+            for step, _ in MAPS.values()
         ]
 
     checks = _checks("combinatorial", enumerate_ideals(poset), names, ideal_returns)
@@ -163,7 +160,7 @@ def suite_order(poset, samples=100, seed=None, cap=1000, start=None):
     return _report("order", seed, checks)
 
 
-def suite_three_step(poset, samples=100, seed=None, cap=1000, start=None):
+def suite_three_step(poset, samples=100, seed=None, start=None):
     """transfer, then cumulate, then complement equals toggle-by-rank rowmotion.
 
     Checked piecewise-linearly on any poset; the birational check is run
@@ -188,7 +185,7 @@ _SHEAR_CHECKS = (
 )
 
 
-def suite_recombination(poset, samples=100, seed=None, cap=1000, start=None):
+def suite_recombination(poset, samples=100, seed=None, start=None):
     'The diagonal shear turns promotion into rowmotion, and its inverse turns it back.'
     _require_shape(poset, "recombination")
     rng = seeded_rng(seed)
@@ -206,15 +203,15 @@ def suite_recombination(poset, samples=100, seed=None, cap=1000, start=None):
     return _report("recombination", seed, checks)
 
 
-def suite_reciprocity(poset, samples=100, seed=None, cap=1000, start=None):
+def suite_reciprocity(poset, samples=100, seed=None, start=None):
     'Antipodal entries of suitable rowmotion powers reflect the original entries.'
-    shape = _require_shape(poset, "reciprocity")
+    _require_shape(poset, "reciprocity")
     rng = seeded_rng(seed)
     checks = []
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
 
         def probe(f):
-            ok, cells = reciprocity_check(alg, f, shape)
+            ok, cells = reciprocity_check(alg, f)
             return (_unless(ok, f, cells=cells[:2]),)
 
         checks += _checks(regime, arrays, ["antipodal-reciprocity"], probe)
@@ -228,7 +225,7 @@ _QUOTIENT_CHECKS = (
 )
 
 
-def suite_quotient(poset, samples=100, seed=None, cap=1000, start=None):
+def suite_quotient(poset, samples=100, seed=None, start=None):
     'File quotient profile: neutral product, adjacent swaps, cyclic shift.'
     a, b = _require_shape(poset, "quotient")
     rng = seeded_rng(seed)
@@ -304,12 +301,12 @@ def suite_homomesy(poset, samples=50, seed=None, cap=1000, start=None):
     checks = []
     extra = {"functionals": len(functionals)}
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
-        for map_name, _ in _ARRAY_MAPS:
+        for map_name in MAPS:
             name = f"standard-functionals-homomesic-under-{map_name}"
             probe = _constancy_probe(alg, map_name, functionals, cap, regime == "birational")
             checks += _checks(regime, arrays, [name], probe, **extra)
     vertex_arrays = [vertex_from_ideal(i) for i in enumerate_ideals(poset)]
-    for map_name, _ in _ARRAY_MAPS:
+    for map_name in MAPS:
         name = f"vertex-restricted-homomesy-under-{map_name}"
         probe = _constancy_probe(PL, map_name, functionals, cap, False)
         checks += _checks("combinatorial", vertex_arrays, [name], probe, **extra)
@@ -318,7 +315,7 @@ def suite_homomesy(poset, samples=50, seed=None, cap=1000, start=None):
     def full_rank(r):
         return ([] if r["pass"] else [{k: r[k] for k in (*fields, "stable")}],)
 
-    for map_name, _ in _ARRAY_MAPS:
+    for map_name in MAPS:
         count = max(samples, 2 * poset.size + 2)
         rank = _stable_rank(poset, rng, map_name, functionals, count, cap)
         name = f"homomesy-space-dimension-under-{map_name}"
@@ -327,7 +324,7 @@ def suite_homomesy(poset, samples=50, seed=None, cap=1000, start=None):
     return _report("homomesy", seed, checks)
 
 
-def suite_bridge(shapes=BRIDGE_SHAPES, samples=100, seed=None, cap=1000):
+def suite_bridge(shapes=BRIDGE_SHAPES, samples=100, seed=None):
     """Tableau dynamics match array dynamics through the pattern embedding.
 
     For random rectangular tableaux: each Bender-Knuth involution acts as
@@ -373,7 +370,7 @@ def _nonadjacent_pairs(poset):
 _TOGGLE_CHECKS = ("toggles-are-involutions", "nonadjacent-toggles-commute")
 
 
-def suite_vertex(poset, samples=20, seed=None, cap=1000):
+def suite_vertex(poset, samples=20, seed=None):
     """Structural invariants: toggles are involutions, toggles at
     non-adjacent elements commute, the piecewise-linear maps restricted
     to polytope vertices act as the combinatorial maps, rowmotion equals

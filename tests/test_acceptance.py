@@ -173,7 +173,7 @@ def test_criterion_4_recombination_and_reciprocity(capsys):
                     assert recombine(alg, promotion(alg, f)) == rowmotion(
                         alg, recombine(alg, f)
                     )
-                    ok, cells = reciprocity_check(alg, f, (a, b))
+                    ok, cells = reciprocity_check(alg, f)
                     assert ok, (a, b, alg.name, cells)
 
 

@@ -4,7 +4,6 @@ from helpers import bir_array, grid22, grid23, pl_array
 from togglekit import (
     BIRATIONAL,
     PL,
-    birational_three_step,
     file_toggle,
     promotion,
     quotient_sequence,
@@ -13,6 +12,7 @@ from togglekit import (
     reciprocity_check,
     rowmotion,
     rowmotion_iterates,
+    three_step,
 )
 from togglekit.birational import file_toggle_swap_check, promotion_shift_check
 from togglekit.posets import PosetError, rectangle_poset, triangle_poset
@@ -32,7 +32,7 @@ def test_birational_three_step_equals_rowmotion():
     rng = seeded_rng(37)
     for poset in RECTANGLES:
         for f in (random_positive_array(BIRATIONAL, poset, rng) for _ in range(10)):
-            assert birational_three_step(f) == rowmotion(BIRATIONAL, f)
+            assert three_step(BIRATIONAL, f) == rowmotion(BIRATIONAL, f)
 
 
 def test_rowmotion_iterates_prefix():
@@ -88,23 +88,21 @@ def test_shears_are_mutually_inverse():
                 assert recombine_inverse(alg, recombine(alg, f)) == f
 
 
-def test_recombination_needs_the_experimental_flag_off_rectangles():
+def test_recombination_round_trips_off_rectangles():
     poset = triangle_poset(3)
     rng = seeded_rng(53)
-    f = random_positive_array(BIRATIONAL, poset, rng)
-    with pytest.raises(PosetError):
-        recombine(BIRATIONAL, f)
-    g = recombine(BIRATIONAL, f, experimental=True)
-    assert recombine_inverse(BIRATIONAL, g, experimental=True) == f
+    for alg, arrays in _samples(poset, rng):
+        for f in arrays:
+            assert recombine_inverse(alg, recombine(alg, f)) == f
+            assert recombine(alg, recombine_inverse(alg, f)) == f
 
 
 def test_reciprocity_birational():
     rng = seeded_rng(59)
     for poset in RECTANGLES:
-        shape = poset.rectangle_shape
         for _ in range(10):
             f = random_positive_array(BIRATIONAL, poset, rng)
-            ok, violations = reciprocity_check(BIRATIONAL, f, shape)
+            ok, violations = reciprocity_check(BIRATIONAL, f)
             assert ok, violations
 
 
@@ -119,20 +117,25 @@ def test_reciprocity_entry_by_hand():
 def test_reciprocity_pl_uses_one_minus():
     rng = seeded_rng(61)
     for poset in RECTANGLES:
-        shape = poset.rectangle_shape
         for _ in range(10):
             f = PL.array(poset, random_polytope_point(poset, rng))
-            ok, violations = reciprocity_check(PL, f, shape)
+            ok, violations = reciprocity_check(PL, f)
             assert ok, violations
     f = pl_array(grid22(), "1/10", "2/10", "3/10", "4/10")
     second = rowmotion_iterates(PL, f, 2)[2]
     assert second.at((1, 2)) == ONE - f.at((2, 1))
 
 
+def test_reciprocity_needs_a_rectangle():
+    f = random_positive_array(BIRATIONAL, triangle_poset(3), seeded_rng(67))
+    with pytest.raises(PosetError, match="rectangle"):
+        reciprocity_check(BIRATIONAL, f)
+
+
 def test_reciprocity_report_shape():
     poset = grid22()
     f = bir_array(poset, 1, 2, 3, 4)
-    ok, violations = reciprocity_check(BIRATIONAL, rowmotion(BIRATIONAL, f), (2, 2))
+    ok, violations = reciprocity_check(BIRATIONAL, rowmotion(BIRATIONAL, f))
     assert ok
     assert violations == []
 

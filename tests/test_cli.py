@@ -190,6 +190,13 @@ def test_verify_env_seed_matches_flag(monkeypatch, capsys):
     assert via_env == flagged
 
 
+def test_verify_names_a_non_integer_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("TOGGLEKIT_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "order", "--shape", "2x2")
+    assert code == 2 and out == ""
+    assert err == "error: TOGGLEKIT_SEED must be an integer, got 'abc'\n"
+
+
 def test_verify_reciprocity_single_start(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "reciprocity", "--shape", "2x2",
@@ -282,6 +289,21 @@ def test_verify_order_refuses_too_many_ideals(capsys):
     assert code == 2
     assert out == ""
     assert "155117520 order ideals" in err and err.count("\n") == 1
+
+
+def test_poset_file_above_the_size_limit_exits_2(tmp_path, capsys):
+    size = 40000
+    chain = {"size": size, "covers": [[i, i + 1] for i in range(size - 1)],
+             "labels": list(range(size))}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    code, out, err = run_cli(
+        capsys, "orbit", "--regime", "combinatorial", "--poset", str(path),
+        "--start", "", "--cap", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "above the limit of 20000" in err
 
 
 def test_tableau_to_gt(tmp_path, capsys):

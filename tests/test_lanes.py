@@ -12,6 +12,7 @@ The birational lane declines input with a value or boundary value that
 is not positive, so the reference loop runs and raises there.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from togglekit import (
     rowmotion_inverse,
 )
 from togglekit.birational import _depths
-from togglekit.dynamics import _schedule, iterate
+from togglekit.dynamics import MAX_SCHEDULES, _schedule, iterate
 from togglekit.posets import rectangle_poset, triangle_poset
 from togglekit.rational import Rat
 
@@ -189,7 +190,7 @@ def toggle_counts(poset, order, times):
 @pytest.mark.parametrize("b", range(1, 7))
 def test_schedules_run_only_the_live_toggles(a, b):
     poset = rectangle_poset(a, b)
-    depths = _depths(poset, False)
+    depths = _depths(poset)
     # The shears read column j after j - 1 sweeps: half their toggles are live.
     for order in (poset.promotion_order[::-1], poset.rowmotion_order):
         assert toggle_counts(poset, order, depths) == a * b * (b - 1) // 2
@@ -209,7 +210,7 @@ def test_birational_lane_raises_on_a_zero_whose_toggles_are_all_dead(shear):
     zero = poset.index_of((2, 1))
     # Column 1 is read before any sweep, so no live toggle touches (2, 1) itself.
     for order in (poset.promotion_order[::-1], poset.rowmotion_order):
-        live = _schedule(poset, order, _depths(poset, False))
+        live = _schedule(poset, order, _depths(poset))
         assert all(x != zero for toggles, _ in live for x, _, _ in toggles)
     values = [Rat(1)] * poset.size
     values[zero] = Rat(0)
@@ -217,3 +218,15 @@ def test_birational_lane_raises_on_a_zero_whose_toggles_are_all_dead(shear):
     for alg in (BIRATIONAL, reference(BIRATIONAL)):
         with pytest.raises(ZeroDivisionError):
             shear(alg, f)
+
+
+def test_schedule_cache_stays_bounded():
+    poset = rectangle_poset(6, 6)
+    f = PL.array(poset, [Rat(k + 1, 37) for k in range(poset.size)])
+    oracle = reference(PL)
+    rng = random.Random(11)
+    for _ in range(3000):
+        times = [rng.randrange(4) for _ in range(poset.size)]
+        walk = iterate(PL, f, poset.rowmotion_order, times)
+        assert len(poset._schedules) <= MAX_SCHEDULES
+        assert walk == iterate(oracle, f, poset.rowmotion_order, times)

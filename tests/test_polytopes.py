@@ -6,7 +6,6 @@ from togglekit import (
     PL,
     in_chain_polytope,
     in_order_polytope,
-    pl_three_step,
     pl_toggle,
     rowmotion,
     three_step,
@@ -154,7 +153,7 @@ def test_three_step_equals_rowmotion_pl():
     for poset in (grid22(), grid23(), triangle_poset(3), triangle_poset(4), FENCE):
         for _ in range(10):
             f = PL.array(poset, random_polytope_point(poset, rng))
-            assert pl_three_step(f) == rowmotion(PL, f)
+            assert three_step(PL, f) == rowmotion(PL, f)
 
 
 def test_three_step_equals_rowmotion_on_general_arrays():

@@ -83,6 +83,15 @@ def test_poset_validation():
 
 
 @pytest.mark.parametrize(
+    "size, covers",
+    [(2.5, []), (True, []), (2, [(0.0, 1.0)]), (2, [(0, True)])],
+)
+def test_size_and_cover_indices_must_be_ints(size, covers):
+    with pytest.raises(PosetError, match="integer"):
+        Poset(size, covers)
+
+
+@pytest.mark.parametrize(
     "rc",
     [
         [(0.5, 0), (1.7, 1.2)],  # int() would truncate these to (0, 0), (1, 1)

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from togglekit import posets, verify
+from togglekit import dynamics, posets, verify
 from togglekit.kernels import pybitops
 from togglekit.kernels.pybitops import _sweep_loop
 from togglekit.posets import (
@@ -263,9 +263,8 @@ def test_order_suite_makes_one_kernel_sweep_per_ideal_step(monkeypatch, a, b):
         for name, wrapper in wrapped.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    monkeypatch.setattr(
-        verify, "_IDEAL_MAPS", tuple((n, wrapped[f.__name__]) for n, f in verify._IDEAL_MAPS)
-    )
+    for name, (ideal_step, array_step) in dynamics.MAPS.items():
+        monkeypatch.setitem(dynamics.MAPS, name, (wrapped[ideal_step.__name__], array_step))
     monkeypatch.setattr(pybitops, "sweep", counted(pybitops.sweep, "sweeps"))
     assert SUITES["order"](rectangle_poset(a, b), samples=2, seed=1)["pass"]
     want = 2 * comb(a + b, a) * (a + b)

@@ -97,16 +97,16 @@ def test_single_box_tableau():
 
 
 def test_array_round_trips():
-    assert array_to_tableau(tableau_to_array(T), 5, 3) == T
+    assert array_to_tableau(tableau_to_array(T), 3) == T
     pattern = tableau_to_pattern(T)
-    assert array_to_pattern(pattern_to_array(pattern), 5, 3) == pattern
+    assert array_to_pattern(pattern_to_array(pattern), 3) == pattern
 
 
 def test_array_to_pattern_rejects_non_lattice_values():
     poset = rectangle_poset(2, 3)
     f = PL.array(poset, ["0", "1/7", "1/3", "1", "1/3", "1"])
     with pytest.raises(TableauError):
-        array_to_pattern(f, 5, 3)
+        array_to_pattern(f, 3)
 
 
 def test_bender_knuth_swaps_free_multiplicities():
