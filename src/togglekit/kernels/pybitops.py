@@ -7,16 +7,16 @@ cover is.  Python ints put no limit on poset size.
 A sweep can be answered from a table over J(P), the set of order ideals:
 a triple (masks, index, images), where masks is J(P) sorted ascending,
 index is a dict from each mask to its position in masks, and images[k]
-is the image of masks[k] under one toggle order, or None until masks[k]
-has been swept.  sweep() finds a mask's slot, and the slot of its fresh
-image, with one index lookup each, and fills a slot the first time its
-mask is swept with the int object already held in masks, so a filled
-table holds no ints of its own.  masks and index are shared by every
-table of one poset; a table is valid only for the toggle order and the
-lower/upper cover masks it was built for, and posets.Poset.sweep_table
-keys one per order by the order's contents.  The plain loop,
-_sweep_loop, is the oracle: it runs on every miss, on masks that are
-not in the table, and whenever no table is given.
+is the position of the image of masks[k] under one toggle order, or
+None until masks[k] has been swept.  sweep() reads the slot at the
+position it is given, or finds it with one index lookup, and fills it
+with the index's own int for the image, so a filled table holds no ints
+of its own.  masks and index are shared by every table of one poset; a
+table is valid only for the toggle order and the lower/upper cover
+masks it was built for, and posets.Poset.sweep_table keys one per order
+by the order's contents.  The plain loop, _sweep_loop, is the oracle:
+it runs on every miss, on masks that are not in the table, and whenever
+no table is given.
 """
 
 
@@ -50,23 +50,26 @@ def toggle(mask, low, up, bit):
     return mask
 
 
-def sweep(mask, order, lower_masks, upper_masks, table=None):
+def sweep(mask, order, lower_masks, upper_masks, table=None, position=None):
     """Apply toggles at the given element indices, in order.
 
     With a table for this order (see the module docstring), a mask in
     the table is swept once and its image read back after that.
+    position, when given, must be the mask's position in the table.
     """
     if table is not None:
         masks, index, images = table
-        k = index.get(mask)
-        if k is not None:
-            image = images[k]
-            if image is None:
+        if position is None:
+            position = index.get(mask)
+        if position is not None:
+            j = images[position]
+            if j is None:
                 image = _sweep_loop(mask, order, lower_masks, upper_masks)
                 j = index.get(image)
-                if j is not None:
-                    images[k] = image = masks[j]
-            return image
+                if j is None:
+                    return image
+                images[position] = j
+            return masks[j]
     return _sweep_loop(mask, order, lower_masks, upper_masks)
 
 

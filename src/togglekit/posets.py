@@ -18,23 +18,24 @@ sampling.random_ideal hand out those shared ideals.
 Sweep tables.  Once J(P) has been enumerated for a poset, every ideal
 sweep (rowmotion_ideal, promotion_ideal, file_toggle_ideal) makes one
 pybitops.sweep call with a table of that toggle order over J(P): the
-shared mask list and position index, and the image of each mask,
-recorded the first time that mask is swept.  The step then looks its
-image up in the index and returns the shared ideal at that position,
-so a step builds no OrderIdeal.  Tables are keyed by the contents of
-the order tuple, never by the name of a map, so a changed order gets a
-table of its own.  A table is valid only for the poset's own cover
-masks.  The kernel's plain toggle loop is the oracle: it answers
-misses, masks outside J(P), and every sweep of a poset whose J(P) was
-never enumerated, which builds no table; those steps return a new
-OrderIdeal.
+shared mask list and position index, and the position of each
+position's image, recorded the first time that ideal is swept.  A
+shared ideal carries its position, so a step reads its image's position
+from the table and returns the shared ideal there: no dict lookup and
+no new OrderIdeal.  Other ideals have position None and are looked up
+by mask.  Tables are keyed by the contents of the order tuple, never by
+the name of a map, so a changed order gets a table of its own.  A table
+is valid only for the poset's own cover masks.  The kernel's plain
+toggle loop is the oracle: it answers misses, masks outside J(P), and
+every sweep of a poset whose J(P) was never enumerated, which builds no
+table; those steps return a new OrderIdeal.
 
 A warm step is two frames: when the poset's last table belongs to the
 very order tuple the map holds, rowmotion_ideal and promotion_ideal
 call the kernel themselves, with that table and the cover masks kept
-beside it, and read the shared ideal from the index.  Every other
-step, file toggles included, goes through _sweep, which finds the
-table by the order's contents.
+beside it, and read the shared image by position.  Every other step,
+file toggles included, goes through _sweep, which finds the table by
+the order's contents.
 
 Enumeration is refused, with a PosetError, when J(P) would hold more
 than MAX_IDEALS order ideals: rectangles are checked against the exact
@@ -269,7 +270,9 @@ class Poset:
     def sweep_table(self, order):
         """The (masks, index, images) sweep table of a toggle order over J(P).
 
-        None until J(P) has been enumerated; see the module docstring.
+        images[k] is the position of the image of masks[k], or None until
+        it is swept.  None until J(P) has been enumerated; see the module
+        docstring.
         """
         masks = self._ideal_masks
         if masks is None:
@@ -374,9 +377,12 @@ def triangle_poset(n):
 
 
 class OrderIdeal:
-    'Down-closed subset of a poset, stored as a bitmask over element indices.'
+    """Down-closed subset of a poset, stored as a bitmask over element indices.
 
-    __slots__ = ("poset", "mask")
+    position is the index in J(P) of a shared ideal, else None; equality ignores it.
+    """
+
+    __slots__ = ("poset", "mask", "position")
 
     def __init__(self, poset, members):
         mask = 0
@@ -388,12 +394,14 @@ class OrderIdeal:
             raise PosetError(f"{sorted_indices(mask)} is not down-closed")
         self.poset = poset
         self.mask = mask
+        self.position = None
 
     @classmethod
     def from_mask(cls, poset, mask, validate=True):
         self = object.__new__(cls)
         self.poset = poset
         self.mask = mask
+        self.position = None
         if validate and not poset.is_ideal_mask(mask):
             raise PosetError(f"{sorted_indices(mask)} is not down-closed")
         return self
@@ -456,15 +464,24 @@ def toggle_ideal(ideal, x):
     return OrderIdeal.from_mask(poset, mask, validate=False)
 
 
+def _image(poset, table, mask):
+    'The shared ideal of a swept mask that lies in J(P), else a new ideal.'
+    j = None if table is None else table[1].get(mask)
+    if j is None:
+        return OrderIdeal.from_mask(poset, mask, validate=False)
+    return poset._ideals[j]
+
+
 def _sweep(ideal, order):
     'One kernel sweep; an image in J(P) comes back as its shared ideal.'
     poset = ideal.poset
     table = poset.sweep_table(order)
-    mask = pybitops.sweep(ideal.mask, order, poset.lower_masks, poset.upper_masks, table)
-    k = None if table is None else table[1].get(mask)
+    k = ideal.position
+    mask = pybitops.sweep(ideal.mask, order, poset.lower_masks, poset.upper_masks, table, k)
     if k is None:
-        return OrderIdeal.from_mask(poset, mask, validate=False)
-    return poset._ideals[k]
+        return _image(poset, table, mask)
+    # Toggles keep an ideal an ideal, so the kernel has filled slot k.
+    return poset._ideals[table[2][k]]
 
 
 def rowmotion_ideal(ideal):
@@ -474,11 +491,11 @@ def rowmotion_ideal(ideal):
     last_order, table, lows, ups = poset._last_table
     if order is not last_order:
         return _sweep(ideal, order)
-    mask = pybitops.sweep(ideal.mask, order, lows, ups, table)
-    k = table[1].get(mask)
+    k = ideal.position
+    mask = pybitops.sweep(ideal.mask, order, lows, ups, table, k)
     if k is None:
-        return OrderIdeal.from_mask(poset, mask, validate=False)
-    return poset._ideals[k]
+        return _image(poset, table, mask)
+    return poset._ideals[table[2][k]]
 
 
 def promotion_ideal(ideal):
@@ -488,11 +505,11 @@ def promotion_ideal(ideal):
     last_order, table, lows, ups = poset._last_table
     if order is not last_order:
         return _sweep(ideal, order)
-    mask = pybitops.sweep(ideal.mask, order, lows, ups, table)
-    k = table[1].get(mask)
+    k = ideal.position
+    mask = pybitops.sweep(ideal.mask, order, lows, ups, table, k)
     if k is None:
-        return OrderIdeal.from_mask(poset, mask, validate=False)
-    return poset._ideals[k]
+        return _image(poset, table, mask)
+    return poset._ideals[table[2][k]]
 
 
 def file_toggle_ideal(ideal, index):
@@ -544,10 +561,10 @@ def enumerate_ideal_masks(poset):
     J(P) is enumerated once per poset; every later call returns the same
     list, which the sweep tables share, so callers must not change it.
     The first call also keeps, on the poset, a dict from each mask to its
-    position and one shared OrderIdeal per mask.  Those ideals refer back
-    to the poset, so a poset dropped after enumeration is freed by the
-    cycle collector rather than at once.  Raises PosetError when J(P) has
-    more than MAX_IDEALS members.
+    position and one shared OrderIdeal per mask, holding that position.
+    Those ideals refer back to the poset, so a poset dropped after
+    enumeration is freed by the cycle collector rather than at once.
+    Raises PosetError when J(P) has more than MAX_IDEALS members.
     """
     masks = poset._ideal_masks
     if masks is not None:
@@ -564,8 +581,10 @@ def enumerate_ideal_masks(poset):
         raise PosetError(
             f"poset of size {poset.size} has more than {MAX_IDEALS} order ideals"
         )
-    poset._ideal_index = {m: k for k, m in enumerate(masks)}
+    poset._ideal_index = index = {m: k for k, m in enumerate(masks)}
     poset._ideals = [OrderIdeal.from_mask(poset, m, validate=False) for m in masks]
+    for ideal, k in zip(poset._ideals, index.values()):
+        ideal.position = k  # the index's own int, as in the tables
     poset._ideal_masks = masks
     return masks
 

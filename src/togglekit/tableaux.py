@@ -241,7 +241,9 @@ def tableau_to_array(tableau):
     rows, n = tableau.rows, tableau.max_entry
     a, b = len(rows), len(rows[0])
     if a >= n:
-        raise TableauError("pattern is not of rectangular type")
+        raise TableauError(
+            f"the array on [{a}]x[{n - a}] is empty: max_entry {n} must exceed the row count {a}"
+        )
     if a * (n - a) > MAX_ARRAY_SIZE:
         raise TableauError(
             f"the array on [{a}]x[{n - a}] has {a * (n - a)} elements, "

@@ -222,6 +222,12 @@ def test_verify_bridge_rejects_flat_shape(capsys):
     assert "AxBxN" in err
 
 
+def test_verify_bridge_names_an_empty_array(capsys):
+    code, out, err = run_cli(capsys, "verify", "bridge", "--shape", "1x1x1", "--samples", "2")
+    assert code == 2 and out == ""
+    assert err == "error: the array on [1]x[0] is empty: max_entry 1 must exceed the row count 1\n"
+
+
 def test_verify_rejects_triangle_for_rectangle_suites(tmp_path, capsys):
     path = tmp_path / "tri.json"
     path.write_text(dumps_canonical(poset_to_json(triangle_poset(3))))
@@ -352,6 +358,15 @@ def test_tableau_bridge_check(tmp_path, capsys):
     assert lines[1].startswith("right: (")
     assert lines[2] == "equal: true"
     assert lines[0].removeprefix("left:  ") == lines[1].removeprefix("right: ")
+
+
+@pytest.mark.parametrize("action", ["to-array", "bridge-check"])
+def test_tableau_with_as_many_rows_as_entries_names_an_empty_array(tmp_path, capsys, action):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"rows": [[1]], "max_entry": 1}))
+    code, out, err = run_cli(capsys, "tableau", action, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: the array on [1]x[0] is empty: max_entry 1 must exceed the row count 1\n"
 
 
 def test_tableau_rejects_invalid_rows(tmp_path, capsys):

@@ -47,15 +47,24 @@ def _steps(poset):
 
 @pytest.mark.parametrize("poset", _posets(), ids=repr)
 def test_tabled_sweeps_equal_the_loop_cold_and_warm(poset):
-    masks = enumerate_ideal_masks(poset)
+    """Fresh ideals, found by mask, and shared ones, read by position.
+
+    Each kind goes first on its own copy of the poset, so each fills the
+    table cold and then reads it warm.
+    """
     lows, ups = poset.lower_masks, poset.upper_masks
-    for order, step in _steps(poset):
-        expected = [_sweep_loop(m, order, lows, ups) for m in masks]
-        for _ in ("cold", "warm"):
-            got = [step(OrderIdeal.from_mask(poset, m)).mask for m in masks]
-            assert got == expected
-        _, _, images = poset.sweep_table(order)
-        assert images == expected  # every image was recorded on the cold pass
+    for shared_first in (False, True):
+        copy = Poset(poset.size, poset.covers, poset.labels, poset.rc)
+        masks = enumerate_ideal_masks(copy)
+        shared = enumerate_ideals(copy)
+        fresh = [OrderIdeal.from_mask(copy, m) for m in masks]
+        passes = (shared, fresh) if shared_first else (fresh, shared)
+        for order, step in _steps(copy):
+            expected = [_sweep_loop(m, order, lows, ups) for m in masks]
+            for ideals in passes + passes:
+                assert [step(i).mask for i in ideals] == expected
+            _, _, images = copy.sweep_table(order)
+            assert [masks[j] for j in images] == expected  # all recorded on the first pass
 
 
 def test_patched_order_gets_its_own_table(monkeypatch):
@@ -208,27 +217,43 @@ def test_steps_return_the_shared_enumerated_ideals(poset):
             assert image is shared[masks.index(image.mask)]
 
 
+@pytest.mark.parametrize("poset", _posets(), ids=repr)
+def test_shared_ideals_carry_their_position(poset):
+    shared = enumerate_ideals(poset)
+    assert [i.position for i in shared] == list(range(len(shared)))
+    assert all(poset._ideals[i.position] is i for i in shared)
+
+
 def test_fresh_ideals_equal_their_shared_twins():
     poset = rectangle_poset(3, 4)
     for shared in enumerate_ideals(poset):
-        fresh = OrderIdeal(poset, shared.indices)
-        assert fresh is not shared
-        assert fresh == shared and shared == fresh
-        assert hash(fresh) == hash(shared)
+        for fresh in (OrderIdeal(poset, shared.indices), OrderIdeal.from_mask(poset, shared.mask)):
+            assert fresh is not shared and fresh.position is None
+            assert fresh == shared and shared == fresh
+            assert hash(fresh) == hash(shared)
+            for _, step in _steps(poset):
+                assert step(fresh) is step(shared)
     twin = enumerate_ideals(rectangle_poset(3, 4))[5]
     assert twin == enumerate_ideals(poset)[5]  # an equal poset built apart
 
 
-@pytest.mark.parametrize("poset", _posets(), ids=repr)
+@pytest.mark.parametrize("poset", _posets() + [rectangle_poset(5, 6)], ids=repr)
 def test_filled_slots_hold_the_enumerated_ints(poset):
+    """Positions and images are the index's own ints.
+
+    [5]x[6] has 462 ideals, so most positions lie above the small ints
+    Python caches and an int built anew would fail the identity check.
+    """
     masks = enumerate_ideal_masks(poset)
-    held = {id(m) for m in masks}
+    index = poset._ideal_index
+    shared = enumerate_ideals(poset)
+    assert all(i.position is index[i.mask] for i in shared)
     for order, step in _steps(poset):
-        for ideal in enumerate_ideals(poset):
+        for ideal in shared:
             step(ideal)
-        table_masks, index, images = poset.sweep_table(order)
-        assert table_masks is masks and index is poset._ideal_index
-        assert all(id(image) in held for image in images)
+        table_masks, table_index, images = poset.sweep_table(order)
+        assert table_masks is masks and table_index is index
+        assert all(j is index[masks[j]] for j in images)
 
 
 def test_random_ideal_draws_the_shared_ideals_from_the_same_stream():
@@ -269,3 +294,18 @@ def test_order_suite_makes_one_kernel_sweep_per_ideal_step(monkeypatch, a, b):
     assert SUITES["order"](rectangle_poset(a, b), samples=2, seed=1)["pass"]
     want = 2 * comb(a + b, a) * (a + b)
     assert counts == {"steps": want, "sweeps": want}
+
+
+def test_order_suite_switches_tables_once_per_map(monkeypatch):
+    'The order suite walks one map at a time, so only two steps find a table by order.'
+    orders = []
+    sweep = posets._sweep
+
+    def counted(ideal, order):
+        orders.append(order)
+        return sweep(ideal, order)
+
+    monkeypatch.setattr(posets, "_sweep", counted)
+    poset = rectangle_poset(3, 3)
+    assert SUITES["order"](poset, samples=2, seed=1)["pass"]
+    assert orders == [poset.rowmotion_order, poset.promotion_order]

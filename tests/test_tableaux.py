@@ -229,7 +229,7 @@ def test_array_reads_the_rows_as_the_pattern_route_does(shape):
 
 
 def test_array_refuses_a_tableau_with_as_many_rows_as_entries():
-    with pytest.raises(TableauError, match="rectangular type"):
+    with pytest.raises(TableauError, match=r"the array on \[2\]x\[0\] is empty"):
         tableau_to_array(Tableau([[1, 1], [2, 2]], 2))
 
 
