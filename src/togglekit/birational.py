@@ -23,6 +23,16 @@ def _depths(poset):
     return [(d - base) // 2 for d in diag]
 
 
+def shear_stages(poset):
+    """The (order, times) stages of recombine and of recombine_inverse.
+
+    Each reads an element after as many sweeps as its diagonal depth:
+    recombine sweeps inverse promotion, recombine_inverse rowmotion.
+    """
+    depths = _depths(poset)
+    return (poset.promotion_order[::-1], depths), (poset.rowmotion_order, depths)
+
+
 def rowmotion_iterates(alg, f, count):
     'f, T(f), ..., T^count(f) under rowmotion; iterate 0 is f itself.'
     out = [f]
@@ -44,7 +54,7 @@ def recombine(alg, f):
     depth (rank+col)/2 for the column index; recombine_inverse undoes it
     there, but the conjugation is proved only for rectangles.
     """
-    return iterate(alg, f, f.poset.promotion_order[::-1], _depths(f.poset))
+    return iterate(alg, f, *shear_stages(f.poset)[0])
 
 
 def recombine_inverse(alg, f):
@@ -56,7 +66,7 @@ def recombine_inverse(alg, f):
     promotion(recombine_inverse(f)), and it carries the rowmotion orbit
     of f row-for-row onto the promotion orbit of its image.
     """
-    return iterate(alg, f, f.poset.rowmotion_order, _depths(f.poset))
+    return iterate(alg, f, *shear_stages(f.poset)[1])
 
 
 def reciprocity_check(alg, f):

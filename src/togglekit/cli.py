@@ -30,25 +30,22 @@ TWO_BY_TWO_ALIASES = {"w": (1, 1), "x": (2, 1), "y": (1, 2), "z": (2, 2)}
 REGIMES = ("combinatorial", "pl", "birational")
 
 
-def _parse_shape(text):
-    parts = text.lower().split("x")
+def _parse_shape(text, form="AxB"):
+    'The positive ints of a shape written as form, AxB or AxBxN.'
     try:
-        numbers = [int(p) for p in parts]
+        numbers = tuple(int(p) for p in text.lower().split("x"))
     except ValueError:
-        raise ValueError(f"bad shape {text!r}; expected AxB") from None
-    if len(numbers) not in (2, 3) or any(n < 1 for n in numbers):
-        raise ValueError(f"bad shape {text!r}; expected AxB")
-    return tuple(numbers)
+        numbers = ()
+    if len(numbers) != len(form.split("x")) or any(n < 1 for n in numbers):
+        raise ValueError(f"bad shape {text!r}; expected {form}")
+    return numbers
 
 
 def _resolve_poset(args, required=True):
     if args.shape and args.poset:
         raise ValueError("pass --shape or --poset, not both")
     if args.shape:
-        shape = _parse_shape(args.shape)
-        if len(shape) != 2:
-            raise ValueError(f"bad shape {args.shape!r}; expected AxB")
-        return rectangle_poset(*shape)
+        return rectangle_poset(*_parse_shape(args.shape))
     if args.poset:
         with open(args.poset) as handle:
             return poset_from_json(json.load(handle))
@@ -168,10 +165,7 @@ def cmd_verify(args):
         if args.start:
             raise ValueError("the bridge suite does not take --start")
         if args.shape:
-            shape = _parse_shape(args.shape)
-            if len(shape) != 3:
-                raise ValueError("the bridge suite needs a tableau shape AxBxN")
-            kwargs["shapes"] = (shape,)
+            kwargs["shapes"] = (_parse_shape(args.shape, "AxBxN"),)
         report = suite_bridge(**kwargs)
     else:
         poset = _resolve_poset(args)

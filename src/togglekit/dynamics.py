@@ -15,29 +15,36 @@ default.
 
 Sweeps (rowmotion, promotion, their inverses and file toggles) are
 walks: iterate(alg, f, order, times) reads entry x after times[x] sweeps
-of order.  pl_algebra and birational_algebra put exact integer lanes in
-the algebra's sweep slot; a lane converts f once, stays in ints for the
-whole walk and builds one rational per read entry:
+of order.  pl_algebra and birational_algebra put an exact integer Lane
+in the algebra's sweep slot, in three parts: enter puts f's values and
+boundary into ints (or declines), stage runs one walk's toggle loop in
+those ints, and leave builds one rational per read entry, keeping f's
+own values elsewhere.  iterate is enter, one stage, leave.
+walks(alg, f, *chains) walks several chains of (order, times) stages
+from one enter, walks a shared leading run of stage objects once, and
+never leaves: its results are lane states, which compare exactly as the
+walked arrays would.
 
 - The piecewise-linear lane scales the values and the boundary by D, the
   lcm of all their denominators.  max, min, + and - map the lattice
-  (1/D)Z^P to itself, so D is fixed over the walk and every toggle is
-  int arithmetic.
+  (1/D)Z^P to itself, so D is fixed over every walk from f and every
+  toggle is int arithmetic; states are lists of ints.
 - The birational lane holds each value as a (numerator, denominator)
   pair, builds the lower sum, the upper parallel sum and L*R/v unreduced,
-  and reduces the result with a single gcd per toggle.  It walks only
-  positive input, where no rule can divide by zero; when a value or a
-  boundary value is not positive it declines, and iterate runs the
-  reference loop below, which raises where the rules divide by zero.
+  and reduces the result with a single gcd per toggle, so states are
+  reduced positive pairs.  It enters only positive input, where no rule
+  can divide by zero; when a value or a boundary value is not positive
+  it declines, and iterate runs the reference loop below, which raises
+  where the rules divide by zero.
 
 A lane runs its walk from a schedule (_schedule), built once per poset,
 order and times and cached on the poset, MAX_SCHEDULES plans at most:
 for each sweep, the live toggles in order, then the entries read.  A
 toggle of x is live when its result reaches a read entry, directly or
 through later toggles that take x's value as their own previous value
-or as a cover's; one backward pass over the sweeps decides it.  The recombination shears read column j after j - 1 sweeps,
-so half of their toggles are dead.  Skipping a dead toggle changes no
-read entry.
+or as a cover's; one backward pass over the sweeps decides it.  The
+recombination shears read column j after j - 1 sweeps, so half of their
+toggles are dead.  Skipping a dead toggle changes no read entry.
 
 An algebra built directly with ToggleAlgebra(...) has no lane and walks
 through _toggled_value, every toggle of every sweep, one at a time with
@@ -46,6 +53,7 @@ lanes are tested equal to it on every walk, boundary and shape, and
 single toggles always use it.
 """
 
+from collections import namedtuple
 from functools import reduce
 from math import gcd, lcm
 
@@ -86,8 +94,9 @@ class ToggleAlgebra:
         self.top_value = top_value
         self.positive_domain = positive_domain
         # sweep(poset, values, boundary, order, times) -> the walked values
-        # (see iterate); None declines the walk, and so does a None slot:
-        # iterate then runs the generic toggle-by-toggle loop.
+        # (see iterate), as a Lane gives them; None declines the walk, and
+        # so does a None slot: iterate then runs the generic
+        # toggle-by-toggle loop, and walks calls iterate.
         self.sweep = sweep
 
     @property
@@ -151,17 +160,39 @@ def _schedule(poset, order, times):
     return plan
 
 
-def _pl_walk(poset, values, boundary, order, times):
-    'Piecewise-linear walk in ints on the lattice (1/D)Z^P.'
-    den = lcm(boundary[0].denominator, boundary[1].denominator,
-              *(v.denominator for v in values))
-    ints = [v.numerator * (den // v.denominator) for v in values]
+class Lane(namedtuple("Lane", "enter stage leave")):
+    """An exact integer lane, shared by iterate and walks.
+
+    enter(values, boundary) -> (ends, start state), or None to decline;
+    stage(ends, state, plan) -> the state after one _schedule plan;
+    leave(ends, values, start, state, reads) -> values with the entries
+    in reads rebuilt from state.  A call is the sweep slot's contract.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, poset, values, boundary, order, times):
+        entered = self.enter(values, boundary)
+        if entered is None:
+            return None
+        ends, start = entered
+        plan = _schedule(poset, order, times)
+        walked = self.stage(ends, start, plan)
+        return self.leave(ends, values, start, walked, [x for _, reads in plan for x in reads])
+
+
+def _pl_enter(values, boundary):
+    'Values and boundary scaled by D, the lcm of all their denominators.'
+    den = lcm(*(v.denominator for v in (*boundary, *values)))
     bottom, top = (b.numerator * (den // b.denominator) for b in boundary)
-    # Entries stay on a few lattice points, so each point becomes a
-    # rational once; the input values seed the table.
-    rats = dict(zip(ints, values))
-    out = list(values)
-    for toggles, reads in _schedule(poset, order, times):
+    return (bottom, top, den), [v.numerator * (den // v.denominator) for v in values]
+
+
+def _pl_stage(ends, ints, plan):
+    'One piecewise-linear walk in ints on the lattice (1/D)Z^P.'
+    bottom, top, _ = ends
+    ints, out = list(ints), list(ints)
+    for toggles, reads in plan:
         for x, lows, ups in toggles:
             # Explicit loops: max() and min() of a comprehension cost three
             # times as much on covers of one or two elements.
@@ -175,23 +206,40 @@ def _pl_walk(poset, values, boundary, order, times):
                     right = ints[y]
             ints[x] = left + right - ints[x]
         for x in reads:
-            n = ints[x]
-            r = rats.get(n)
-            if r is None:
-                r = rats[n] = Rat(n, den)
-            out[x] = r
+            out[x] = ints[x]
     return out
 
 
-def _birational_walk(poset, values, boundary, order, times):
-    'Birational walk on (numerator, denominator) pairs, one gcd per toggle.'
+def _pl_leave(ends, values, start, ints, reads):
+    # Entries stay on a few lattice points, so each point becomes a
+    # rational once; the input values seed the table.
+    den = ends[2]
+    rats = dict(zip(start, values))
+    out = list(values)
+    for x in reads:
+        n = ints[x]
+        r = rats.get(n)
+        if r is None:
+            r = rats[n] = Rat(n, den)
+        out[x] = r
+    return out
+
+
+def _birational_enter(values, boundary):
+    '(numerator, denominator) pairs; declines unless every value and boundary value is positive.'
     nums = [v.numerator for v in values]
-    dens = [v.denominator for v in values]
     (bottom_n, bottom_d), (top_n, top_d) = ((b.numerator, b.denominator) for b in boundary)
     if min(nums, default=1) <= 0 or bottom_n <= 0 or top_n <= 0:
         return None
-    out = list(values)
-    for toggles, reads in _schedule(poset, order, times):
+    return (bottom_n, bottom_d, top_n, top_d), (nums, [v.denominator for v in values])
+
+
+def _birational_stage(ends, state, plan):
+    'One birational walk on reduced positive pairs, one gcd per toggle.'
+    bottom_n, bottom_d, top_n, top_d = ends
+    nums, dens = list(state[0]), list(state[1])
+    out_nums, out_dens = list(nums), list(dens)
+    for toggles, reads in plan:
         for x, lows, ups in toggles:
             if lows:
                 ln, ld = nums[lows[0]], dens[lows[0]]
@@ -211,7 +259,15 @@ def _birational_walk(poset, values, boundary, order, times):
             g = gcd(n, d)
             nums[x], dens[x] = n // g, d // g
         for x in reads:
-            out[x] = Rat(nums[x], dens[x])
+            out_nums[x], out_dens[x] = nums[x], dens[x]
+    return out_nums, out_dens
+
+
+def _birational_leave(ends, values, start, state, reads):
+    nums, dens = state
+    out = list(values)
+    for x in reads:
+        out[x] = Rat(nums[x], dens[x])
     return out
 
 
@@ -219,7 +275,7 @@ def pl_algebra(bottom=ZERO, top=ONE):
     'Max-plus toggling: L = max below, R = min above, v -> L + R - v.'
     return ToggleAlgebra(
         "pl", max, min, lambda L, R, v: L + R - v, Rat(bottom), Rat(top),
-        sweep=_pl_walk,
+        sweep=Lane(_pl_enter, _pl_stage, _pl_leave),
     )
 
 
@@ -233,7 +289,7 @@ def birational_algebra(bottom=ONE, top=ONE):
         Rat(bottom),
         Rat(top),
         positive_domain=True,
-        sweep=_birational_walk,
+        sweep=Lane(_birational_enter, _birational_stage, _birational_leave),
     )
 
 
@@ -327,6 +383,31 @@ def iterate(alg, f, order, times):
             if t == k:
                 out[x] = values[x]
     return f._replace(out)
+
+
+def walks(alg, f, *chains):
+    """One result per chain of (order, times) stages walked from f, each
+    stage as in iterate; chains that start with the same stage objects
+    walk that run once.  The results compare with each other exactly as
+    the walked PArrays would: they are lane states, or, with no lane or
+    on input the lane declines, the PArrays iterate gives.
+    """
+    lane = alg.sweep
+    entered = lane.enter(f.values, f.boundary) if isinstance(lane, Lane) else None
+    walked = {(): f if entered is None else entered[1]}  # stage ids of a prefix -> its walk
+    results = []
+    for chain in chains:
+        key = ()
+        for stage in chain:
+            prefix, key = key, key + (id(stage),)
+            if key in walked:
+                continue
+            if entered is None:
+                walked[key] = iterate(alg, walked[prefix], *stage)
+            else:
+                walked[key] = lane.stage(entered[0], walked[prefix], _schedule(f.poset, *stage))
+        results.append(walked[key])
+    return results
 
 
 def _sweep(alg, f, order):

@@ -9,13 +9,8 @@ import json
 
 from .posets import OrderIdeal, Poset, PosetError, _is_int, sorted_indices
 from .rational import format_rat, parse_rat
-from .tableaux import GtPattern, Tableau, TableauError
+from .tableaux import MAX_ENTRY, GtPattern, Tableau, TableauError
 
-# Largest max_entry a tableau file may declare.  A tableau's promotion
-# makes max_entry - 1 Bender-Knuth passes and its array has at least
-# max_entry - 1 elements, so the bound keeps every tableau action on a
-# small input fast.
-MAX_ENTRY = 20000
 # Largest size a poset file may declare.  A poset without rc builds a
 # size x size bit table to check that its covers are irredundant.
 MAX_POSET_SIZE = 20000

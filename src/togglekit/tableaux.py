@@ -16,6 +16,11 @@ from .posets import PosetError, rectangle_poset
 from .rational import Rat
 
 
+# Largest max_entry a tableau file or a bridge shape may declare.  A
+# tableau's promotion makes max_entry - 1 Bender-Knuth passes and its
+# array has at least max_entry - 1 elements, so the bound keeps every
+# tableau action on a small input fast.
+MAX_ENTRY = 20000
 # Most slots tableau_to_pattern may build: n(n+1)/2 for max entry n.
 MAX_PATTERN_SLOTS = 10**6
 # Most elements tableau_to_array may build: A(n-A) for A rows, max entry n.

@@ -16,20 +16,19 @@ from .birational import (
     file_toggle_swap_check,
     promotion_shift_check,
     quotient_sequence,
-    recombine,
-    recombine_inverse,
     reciprocity_check,
+    shear_stages,
 )
 from .dynamics import (
     BIRATIONAL,
     MAPS,
     PL,
     file_toggle,
-    iterate,
     promotion,
     rowmotion,
     toggle,
     vertex_from_ideal,
+    walks,
 )
 from .homomesy import (
     average_space_rank,
@@ -56,7 +55,14 @@ from .sampling import (
     random_tableau,
     seeded_rng,
 )
-from .tableaux import bender_knuth, tableau_promotion, tableau_to_array
+from .tableaux import (
+    MAX_ARRAY_SIZE,
+    MAX_ENTRY,
+    TableauError,
+    bender_knuth,
+    tableau_promotion,
+    tableau_to_array,
+)
 
 MAX_REPORTED = 3
 
@@ -149,13 +155,13 @@ def suite_order(poset, samples=100, seed=None, start=None):
         checks += _checks("combinatorial", ideals, [name], ideal_returns)
     rng = seeded_rng(seed)
     powers = [n] * poset.size
+    # One chain per map, in names order, then f itself.
+    chains = [[(poset.rowmotion_order, powers)], [(poset.promotion_order, powers)], []]
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
 
         def returns(f):
-            return [
-                _unless(iterate(alg, f, order, powers) == f, f)
-                for order in (poset.rowmotion_order, poset.promotion_order)
-            ]
+            *powered, same = walks(alg, f, *chains)
+            return [_unless(g == same, f) for g in powered]
 
         checks += _checks(regime, arrays, names, returns)
     return _report("order", seed, checks)
@@ -189,16 +195,19 @@ _SHEAR_CHECKS = (
 def suite_recombination(poset, samples=100, seed=None, start=None):
     'The diagonal shear turns promotion into rowmotion, and its inverse turns it back.'
     _require_shape(poset, "recombination")
+    shear, unshear = shear_stages(poset)
+    once = [1] * poset.size
+    row, prom = (poset.rowmotion_order, once), (poset.promotion_order, once)
+    # Both sides of each check as a chain from f, in _SHEAR_CHECKS order;
+    # the last chain is f itself.
+    chains = ([prom, shear], [shear, row], [row, unshear], [unshear, prom], [unshear, shear], [])
     rng = seeded_rng(seed)
     checks = []
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
 
         def probe(f):
-            forward = recombine(alg, promotion(alg, f)) == rowmotion(alg, recombine(alg, f))
-            sheared = recombine_inverse(alg, f)
-            backward = recombine_inverse(alg, rowmotion(alg, f)) == promotion(alg, sheared)
-            round_trip = recombine(alg, sheared) == f
-            return _unless(forward, f), _unless(backward, f), _unless(round_trip, f)
+            walked = walks(alg, f, *chains)
+            return [_unless(walked[k] == walked[k + 1], f) for k in (0, 2, 4)]
 
         checks += _checks(regime, arrays, _SHEAR_CHECKS, probe)
     return _report("recombination", seed, checks)
@@ -331,7 +340,16 @@ def suite_bridge(shapes=BRIDGE_SHAPES, samples=100, seed=None):
     For random rectangular tableaux: each Bender-Knuth involution acts as
     the file toggle of the same index, whole-tableau promotion acts as
     piecewise-linear promotion, and promotion has order max_entry.
+    Shapes above the tableau limits are refused before any draw.
     """
+    for rows, cols, max_entry in shapes:
+        if rows * cols > MAX_ARRAY_SIZE:
+            raise TableauError(
+                f"a {rows}x{cols} tableau has {rows * cols} entries, "
+                f"more than the limit of {MAX_ARRAY_SIZE}"
+            )
+        if max_entry > MAX_ENTRY:
+            raise TableauError(f"max entry {max_entry} is above the limit of {MAX_ENTRY}")
     rng = seeded_rng(seed)
     checks = []
     for rows, cols, max_entry in shapes:

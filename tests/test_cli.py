@@ -222,6 +222,27 @@ def test_verify_bridge_rejects_flat_shape(capsys):
     assert "AxBxN" in err
 
 
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ("1x100000000x2", "a 1x100000000 tableau has 100000000 entries, more than the limit of 20000"),
+        ("2x2x100000", "max entry 100000 is above the limit of 20000"),
+    ],
+)
+def test_verify_bridge_refuses_a_shape_above_the_tableau_limits(capsys, shape, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "bridge", "--shape", shape, "--samples", "1")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_bridge_names_the_tableau_shape_it_needs(capsys):
+    code, out, err = run_cli(capsys, "verify", "bridge", "--shape", "1x2x0", "--samples", "1")
+    assert code == 2 and out == ""
+    assert err == "error: bad shape '1x2x0'; expected AxBxN\n"
+
+
 def test_verify_bridge_names_an_empty_array(capsys):
     code, out, err = run_cli(capsys, "verify", "bridge", "--shape", "1x1x1", "--samples", "2")
     assert code == 2 and out == ""

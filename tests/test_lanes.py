@@ -10,6 +10,10 @@ both ways.  The lanes run only the toggles that a read entry depends on;
 the schedule tests pin how many that is on the walks the suites make.
 The birational lane declines input with a value or boundary value that
 is not positive, so the reference loop runs and raises there.
+
+walks runs chains of walks in a lane's own ints and returns lane states;
+they must be the reference's arrays, entry for entry, and compare equal
+exactly when the reference's arrays do.
 """
 
 import random
@@ -33,8 +37,10 @@ from togglekit import (
     rowmotion,
     rowmotion_inverse,
 )
-from togglekit.birational import _depths
-from togglekit.dynamics import MAX_SCHEDULES, _schedule, iterate
+from togglekit import birational
+from togglekit.birational import _depths, shear_stages
+from togglekit.dynamics import MAX_SCHEDULES, Lane, _schedule, iterate, walks
+from togglekit.verify import suite_recombination
 from togglekit.posets import rectangle_poset, triangle_poset
 from togglekit.rational import Rat
 
@@ -230,3 +236,134 @@ def test_schedule_cache_stays_bounded():
         walk = iterate(PL, f, poset.rowmotion_order, times)
         assert len(poset._schedules) <= MAX_SCHEDULES
         assert walk == iterate(oracle, f, poset.rowmotion_order, times)
+
+
+def stages(poset):
+    """One stage per sweep, in orders(poset) order with each sweep's inverse
+    at the same index of inverses(poset), then the two shears."""
+    once = [1] * poset.size
+    return [(order, once) for order in orders(poset)] + list(shear_stages(poset))
+
+
+def inverses(poset):
+    'Index of the inverse of each sweep stage: toggles are involutions.'
+    return [2, 3, 0, 1] + list(range(4, 4 + len(poset.files)))
+
+
+def walked(alg, f, chains):
+    """walks(alg, f, *chains) as arrays, with the matrix of which results
+    compare equal; or ZeroDivisionError."""
+    try:
+        results = walks(alg, f, *chains)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    same = [[a == b for b in results] for a in results]
+    lane = alg.sweep
+    entered = lane.enter(f.values, f.boundary) if isinstance(lane, Lane) else None
+    if entered is None:
+        assert all(isinstance(r, PArray) for r in results)
+    else:
+        ends, start = entered
+        every = range(f.poset.size)
+        results = [f._replace(lane.leave(ends, f.values, start, r, every)) for r in results]
+    return results, same
+
+
+def chain_sets(draw, poset):
+    """Random chains over every stage, plus one chain that walks a random
+    run of sweeps and back, and the empty chain: so equal and unequal
+    results both turn up."""
+    every = stages(poset)
+    picks = st.lists(st.integers(0, len(every) - 1), max_size=3)
+    chains = [[every[k] for k in ks] for ks in draw(st.lists(picks, min_size=1, max_size=4))]
+    back = inverses(poset)
+    there = draw(st.lists(st.sampled_from(range(len(back))), min_size=1, max_size=3))
+    chains.append([every[k] for k in there] + [every[back[k]] for k in reversed(there)])
+    return chains + [[]]
+
+
+def assert_walks_match_reference(alg, f, chains):
+    assert walked(alg, f, chains) == walked(reference(alg), f, chains)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_pl_walks_match_reference(data):
+    ends = data.draw(st.none() | st.tuples(rationals, rationals))
+    alg = PL if ends is None else pl_algebra(*ends)
+    f = arrays(data.draw, alg, rationals)
+    assert_walks_match_reference(alg, f, chain_sets(data.draw, f.poset))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_birational_walks_match_reference(data):
+    ends = data.draw(st.none() | st.tuples(positive_rationals, positive_rationals))
+    alg = BIRATIONAL if ends is None else birational_algebra(*ends)
+    f = arrays(data.draw, alg, positive_rationals)
+    assert_walks_match_reference(alg, f, chain_sets(data.draw, f.poset))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([PL, BIRATIONAL]), st.sampled_from(POSETS), st.data())
+def test_walks_match_reference_on_unchecked_arrays(alg, poset, data):
+    'A birational start that is not positive is declined, and raises where the reference does.'
+    values = data.draw(st.lists(signed, min_size=poset.size, max_size=poset.size))
+    f = PArray(poset, values, data.draw(st.tuples(signed, signed)))
+    assert_walks_match_reference(alg, f, chain_sets(data.draw, poset))
+
+
+@pytest.mark.parametrize(
+    "alg, shape, values",
+    [
+        # File 1 of [2]x[2] is one element: the two walks differ in that entry only.
+        (PL, (2, 2), ["1/5", "2/5", "3/5", "4/5"]),
+        # 1/2 toggles to (1/6)/(1/2) = 1/3: the same numerator.
+        (birational_algebra(1, Rat(1, 6)), (1, 1), ["1/2"]),
+        # 1/3 toggles to (2/9)/(1/3) = 2/3: the same denominator.
+        (birational_algebra(1, Rat(2, 9)), (1, 1), ["1/3"]),
+    ],
+)
+def test_walks_compare_whole_states(alg, shape, values):
+    f = alg.array(rectangle_poset(*shape), [Rat(v) for v in values])
+    chains = [[(f.poset.file_members(1), [1] * f.poset.size)], []]
+    (toggled, start), same = walked(alg, f, chains)
+    assert toggled == file_toggle(alg, f, 1) and start == f
+    assert same == [[True, False], [False, True]]
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [
+        lambda depths: [d + (d > 0) for d in depths],
+        lambda depths: [d + (d == max(depths)) for d in depths],
+    ],
+    ids=["every-diagonal-but-the-first", "the-deepest-diagonal"],
+)
+def test_recombination_suite_fails_on_shears_off_by_one(monkeypatch, shift):
+    # Shifting every depth by one is no mutation: it composes the shear with
+    # one more promotion, which it conjugates, so the suite still passes.
+    monkeypatch.setattr(birational, "_depths", lambda poset: shift(_depths(poset)))
+    report = suite_recombination(rectangle_poset(3, 3), samples=5, seed=1)
+    failed = {c["regime"] for c in report["checks"] if not c["pass"]}
+    assert not report["pass"] and failed == {"pl", "birational"}
+
+
+def test_walks_share_leading_stages():
+    poset = rectangle_poset(3, 3)
+    calls = []
+
+    def stage(ends, state, plan):
+        calls.append(plan)
+        return PL.sweep.stage(ends, state, plan)
+
+    lane = Lane(PL.sweep.enter, stage, PL.sweep.leave)
+    counting = ToggleAlgebra("pl", max, min, PL.recombine, PL.bottom_value, PL.top_value, sweep=lane)
+    f = PL.array(poset, [Rat(k + 1, 11) for k in range(poset.size)])
+    row, prom = ([(order, [1] * poset.size)] for order in orders(poset)[:2])
+    copy = [(*row[0],)]  # an equal stage, but another object
+    results = walks(counting, f, row + prom, row + row, row, [], copy)
+    # row's stage is walked once for the first three chains; the copy again.
+    assert len(calls) == 4
+    assert results == walks(PL, f, row + prom, row + row, row, [], copy)
+    assert results[2] == results[4] != results[3]
