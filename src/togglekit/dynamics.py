@@ -23,7 +23,9 @@ own values elsewhere.  iterate is enter, one stage, leave.
 walks(alg, f, *chains) walks several chains of (order, times) stages
 from one enter, walks a shared leading run of stage objects once, and
 never leaves: its results are lane states, which compare exactly as the
-walked arrays would.
+walked arrays would.  Stages that continue one run over the same order
+object share one walk of that order, max(times) sweeps over all their
+times, each stage's reads going to its own state.
 
 - The piecewise-linear lane scales the values and the boundary by D, the
   lcm of all their denominators.  max, min, + and - map the lattice
@@ -125,7 +127,7 @@ class ToggleAlgebra:
         'Wrap values (anything Rat accepts) as a validated PArray.'
         f = PArray(poset, values, self.boundary if boundary is None else boundary)
         if self.positive_domain:
-            bad = next((v for v in f.values + f.boundary if v <= 0), None)
+            bad = next((v for v in f.values + f.boundary if v.numerator <= 0), None)
             if bad is not None:
                 raise ValueError(f"{self.name} arrays must be strictly positive, got {bad}")
         return f
@@ -134,20 +136,21 @@ class ToggleAlgebra:
         return f"ToggleAlgebra({self.name!r})"
 
 
-def _schedule(poset, order, times):
+def _schedule(poset, order, *times):
     """For each sweep k = 1..max(times), the live toggles to run as
-    (x, lower covers, upper covers) in order, and the entries x of order
-    with times[x] == k to read after them.
+    (x, lower covers, upper covers) in order, and, per times vector, the
+    entries x of order with times[x] == k to read after them.  A toggle
+    is live when any of the vectors' reads needs it.
     """
-    key = (tuple(order), tuple(times))
+    key = (tuple(order), *map(tuple, times))
     plan = poset._schedules.get(key)
     if plan is None:
         lower, upper = poset.lower_covers, poset.upper_covers
         steps = [(x, lower[x], upper[x]) for x in order]
         plan, needed = [], set()  # entries whose current value is read later
-        for k in range(max(times, default=0), 0, -1):
-            due = tuple(x for x in order if times[x] == k)
-            needed.update(due)
+        for k in range(max((max(t, default=0) for t in times), default=0), 0, -1):
+            due = tuple(tuple(x for x in order if t[x] == k) for t in times)
+            needed.update(*due)
             kept = []
             for step in reversed(steps):
                 if step[0] in needed:
@@ -164,7 +167,8 @@ class Lane(namedtuple("Lane", "enter stage leave")):
     """An exact integer lane, shared by iterate and walks.
 
     enter(values, boundary) -> (ends, start state), or None to decline;
-    stage(ends, state, plan) -> the state after one _schedule plan;
+    stage(ends, state, plan, count) -> the count states one _schedule
+    plan of count times vectors reads, one per vector;
     leave(ends, values, start, state, reads) -> values with the entries
     in reads rebuilt from state.  A call is the sweep slot's contract.
     """
@@ -177,8 +181,8 @@ class Lane(namedtuple("Lane", "enter stage leave")):
             return None
         ends, start = entered
         plan = _schedule(poset, order, times)
-        walked = self.stage(ends, start, plan)
-        return self.leave(ends, values, start, walked, [x for _, reads in plan for x in reads])
+        (walked,) = self.stage(ends, start, plan, 1)
+        return self.leave(ends, values, start, walked, [x for _, (reads,) in plan for x in reads])
 
 
 def _pl_enter(values, boundary):
@@ -188,10 +192,11 @@ def _pl_enter(values, boundary):
     return (bottom, top, den), [v.numerator * (den // v.denominator) for v in values]
 
 
-def _pl_stage(ends, ints, plan):
+def _pl_stage(ends, ints, plan, count):
     'One piecewise-linear walk in ints on the lattice (1/D)Z^P.'
     bottom, top, _ = ends
-    ints, out = list(ints), list(ints)
+    ints = list(ints)
+    outs = [list(ints) for _ in range(count)]
     for toggles, reads in plan:
         for x, lows, ups in toggles:
             # Explicit loops: max() and min() of a comprehension cost three
@@ -205,9 +210,10 @@ def _pl_stage(ends, ints, plan):
                 if ints[y] < right:
                     right = ints[y]
             ints[x] = left + right - ints[x]
-        for x in reads:
-            out[x] = ints[x]
-    return out
+        for out, xs in zip(outs, reads):
+            for x in xs:
+                out[x] = ints[x]
+    return outs
 
 
 def _pl_leave(ends, values, start, ints, reads):
@@ -234,11 +240,11 @@ def _birational_enter(values, boundary):
     return (bottom_n, bottom_d, top_n, top_d), (nums, [v.denominator for v in values])
 
 
-def _birational_stage(ends, state, plan):
+def _birational_stage(ends, state, plan, count):
     'One birational walk on reduced positive pairs, one gcd per toggle.'
     bottom_n, bottom_d, top_n, top_d = ends
     nums, dens = list(state[0]), list(state[1])
-    out_nums, out_dens = list(nums), list(dens)
+    outs = [(list(nums), list(dens)) for _ in range(count)]
     for toggles, reads in plan:
         for x, lows, ups in toggles:
             if lows:
@@ -258,9 +264,10 @@ def _birational_stage(ends, state, plan):
             n, d = ln * rn * dens[x], ld * rd * nums[x]
             g = gcd(n, d)
             nums[x], dens[x] = n // g, d // g
-        for x in reads:
-            out_nums[x], out_dens[x] = nums[x], dens[x]
-    return out_nums, out_dens
+        for (out_nums, out_dens), xs in zip(outs, reads):
+            for x in xs:
+                out_nums[x], out_dens[x] = nums[x], dens[x]
+    return outs
 
 
 def _birational_leave(ends, values, start, state, reads):
@@ -307,7 +314,8 @@ class PArray:
     __slots__ = ("poset", "values", "boundary")
 
     def __init__(self, poset, values, boundary=(ZERO, ONE)):
-        values = tuple(Rat(v) for v in values)
+        # Values that are already Rat are kept as they are, not rebuilt.
+        values = tuple(v if type(v) is Rat else Rat(v) for v in values)
         if len(values) != poset.size:
             raise ValueError(f"{len(values)} values for {poset.size} elements")
         self.poset = poset
@@ -388,13 +396,23 @@ def iterate(alg, f, order, times):
 def walks(alg, f, *chains):
     """One result per chain of (order, times) stages walked from f, each
     stage as in iterate; chains that start with the same stage objects
-    walk that run once.  The results compare with each other exactly as
-    the walked PArrays would: they are lane states, or, with no lane or
-    on input the lane declines, the PArrays iterate gives.
+    walk that run once, and in a lane the stages that continue one run
+    over the same order object share one walk of it.  The results
+    compare with each other exactly as the walked PArrays would: they
+    are lane states, or, with no lane or on input the lane declines, the
+    PArrays iterate gives.
     """
     lane = alg.sweep
     entered = lane.enter(f.values, f.boundary) if isinstance(lane, Lane) else None
-    walked = {(): f if entered is None else entered[1]}  # stage ids of a prefix -> its walk
+    # (stage ids of a run, id of an order) -> the stages that continue the
+    # run over that order, by id
+    shared = {}
+    for chain in chains:
+        key = ()
+        for stage in chain:
+            shared.setdefault((key, id(stage[0])), {})[id(stage)] = stage
+            key += (id(stage),)
+    walked = {(): f if entered is None else entered[1]}  # stage ids of a run -> its walk
     results = []
     for chain in chains:
         key = ()
@@ -404,8 +422,11 @@ def walks(alg, f, *chains):
                 continue
             if entered is None:
                 walked[key] = iterate(alg, walked[prefix], *stage)
-            else:
-                walked[key] = lane.stage(entered[0], walked[prefix], _schedule(f.poset, *stage))
+                continue
+            group = shared[prefix, id(stage[0])]
+            plan = _schedule(f.poset, stage[0], *(times for _, times in group.values()))
+            states = lane.stage(entered[0], walked[prefix], plan, len(group))
+            walked.update(zip((prefix + (k,) for k in group), states))
         results.append(walked[key])
     return results
 

@@ -33,14 +33,16 @@ def random_polytope_point(poset, rng, denominator=20):
 
     Entries are sampled in [0, 1] and then pushed up along covers in
     index order (the canonical linear extension), which keeps every
-    value in [0, 1] and makes the result order-preserving.
+    value in [0, 1] and makes the result order-preserving.  The push
+    runs on the numerators, which share the denominator, so each value
+    becomes a rational once.
     """
-    values = [Rat(rng.randint(0, denominator), denominator) for _ in range(poset.size)]
+    nums = [rng.randint(0, denominator) for _ in range(poset.size)]
     for x in range(poset.size):
         for lo in poset.lower_covers[x]:
-            if values[lo] > values[x]:
-                values[x] = values[lo]
-    return values
+            if nums[lo] > nums[x]:
+                nums[x] = nums[lo]
+    return [Rat(n, denominator) for n in nums]
 
 
 def random_ideal(poset, rng):

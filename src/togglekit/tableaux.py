@@ -10,6 +10,7 @@ piecewise-linear promotion.
 """
 
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 
 from .dynamics import PL, PArray
 from .posets import PosetError, rectangle_poset
@@ -234,6 +235,15 @@ def array_to_pattern(f, columns):
     return GtPattern(rows)
 
 
+@lru_cache(maxsize=1)
+def _rectangle(a, b):
+    """rectangle_poset(a, b), kept for the next call of the same shape:
+    the bridge suite maps each tableau and its neighbours one shape at a
+    time, and arrays on one poset object compare without a poset compare.
+    """
+    return rectangle_poset(a, b)
+
+
 def tableau_to_array(tableau):
     """pattern_to_array(tableau_to_pattern(tableau)), read from the rows.
 
@@ -254,7 +264,7 @@ def tableau_to_array(tableau):
             f"the array on [{a}]x[{n - a}] has {a * (n - a)} elements, "
             f"more than the limit of {MAX_ARRAY_SIZE}"
         )
-    poset = rectangle_poset(a, n - a)
+    poset = _rectangle(a, n - a)
     return PL.array(poset, [Rat(bisect_right(rows[a - i], a + j - i), b) for i, j in poset.labels])
 
 

@@ -198,9 +198,13 @@ def suite_recombination(poset, samples=100, seed=None, start=None):
     shear, unshear = shear_stages(poset)
     once = [1] * poset.size
     row, prom = (poset.rowmotion_order, once), (poset.promotion_order, once)
+    # recombine_inverse(rowmotion(f)) as one stage: rowmotion is one whole
+    # sweep of unshear's order, so the shear of rowmotion(f) reads each
+    # entry one sweep later than unshear does and shares its walk from f.
+    row_unshear = (unshear[0], [t + 1 for t in unshear[1]])
     # Both sides of each check as a chain from f, in _SHEAR_CHECKS order;
     # the last chain is f itself.
-    chains = ([prom, shear], [shear, row], [row, unshear], [unshear, prom], [unshear, shear], [])
+    chains = ([prom, shear], [shear, row], [row_unshear], [unshear, prom], [unshear, shear], [])
     rng = seeded_rng(seed)
     checks = []
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from helpers import bir_array, grid22, grid23, pl_array, rats
@@ -93,6 +95,30 @@ def test_array_validation():
     assert f.at((2, 1)) == Rat(1, 5)
     assert f[3] == Rat(2, 5)
     assert len(f) == 4
+
+
+def test_arrays_keep_rationals_and_coerce_the_rest():
+    values = rats("1/3", "2/5", "3/7", "4/9")
+    f = PArray(grid22(), values)
+    assert all(v is w for v, w in zip(f.values, values))
+    g = PArray(grid22(), [1, "2/5", Rat(3, 7), "-4/9"])
+    assert g.values == (Rat(1), Rat(2, 5), Rat(3, 7), Rat(-4, 9))
+    assert all(type(v) is Rat for v in g.values)
+
+
+@pytest.mark.parametrize(
+    "values, boundary, bad",
+    [
+        (["1", "0", "2", "3"], None, "0"),
+        (["1", "2", "-1/3", "3"], None, "-1/3"),
+        (["1", "2", "3", "4"], ("0", "1"), "0"),
+        (["1", "2", "3", "4"], ("1", "-2"), "-2"),
+    ],
+)
+def test_birational_arrays_refuse_what_is_not_positive(values, boundary, bad):
+    message = f"birational arrays must be strictly positive, got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BIRATIONAL.array(grid22(), values, boundary)
 
 
 def test_array_equality_includes_boundary():

@@ -13,7 +13,8 @@ is not positive, so the reference loop runs and raises there.
 
 walks runs chains of walks in a lane's own ints and returns lane states;
 they must be the reference's arrays, entry for entry, and compare equal
-exactly when the reference's arrays do.
+exactly when the reference's arrays do, also where stages over one order
+object continue one run and so share one walk.
 """
 
 import random
@@ -353,17 +354,68 @@ def test_walks_share_leading_stages():
     poset = rectangle_poset(3, 3)
     calls = []
 
-    def stage(ends, state, plan):
-        calls.append(plan)
-        return PL.sweep.stage(ends, state, plan)
+    def stage(ends, state, plan, count):
+        calls.append(count)
+        return PL.sweep.stage(ends, state, plan, count)
 
     lane = Lane(PL.sweep.enter, stage, PL.sweep.leave)
     counting = ToggleAlgebra("pl", max, min, PL.recombine, PL.bottom_value, PL.top_value, sweep=lane)
     f = PL.array(poset, [Rat(k + 1, 11) for k in range(poset.size)])
     row, prom = ([(order, [1] * poset.size)] for order in orders(poset)[:2])
     copy = [(*row[0],)]  # an equal stage, but another object
-    results = walks(counting, f, row + prom, row + row, row, [], copy)
-    # row's stage is walked once for the first three chains; the copy again.
-    assert len(calls) == 4
-    assert results == walks(PL, f, row + prom, row + row, row, [], copy)
+    twice = [(row[0][0], [2] * poset.size)]  # row's order, read one sweep later
+    other = [(list(row[0][0]), row[0][1])]  # an equal stage over another order object
+    chains = (row + prom, row + row, row, [], copy, twice, other)
+    results = walks(counting, f, *chains)
+    # One walk of row's order from f reads row, copy and twice; row's run
+    # continues over two orders; other's order is walked on its own.
+    assert calls == [3, 1, 1, 1]
+    assert results == walks(PL, f, *chains)
     assert results[2] == results[4] != results[3]
+    assert results[5] == results[1] != results[2] == results[6]
+
+
+def shared_chain_sets(draw, poset):
+    """Chains that continue one random run with several stages over one
+    order object: times t, t + 1 and another vector, a sweep then t
+    (which reads what t + 1 reads), and a stage after t; plus the run."""
+    every = stages(poset)
+    run = [every[k] for k in draw(st.lists(st.integers(0, len(every) - 1), max_size=2))]
+    order = draw(st.sampled_from([order for order, _ in every]))
+    t, other = draw(times_vectors(poset)), draw(times_vectors(poset))
+    at_t = (order, t)
+    return [
+        run + [at_t],
+        run + [(order, [k + 1 for k in t])],
+        run + [(order, other)],
+        run + [(order, [1] * poset.size), at_t],
+        run + [at_t, draw(st.sampled_from(every))],
+        run,
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pl_shared_order_walks_match_reference(data):
+    ends = data.draw(st.none() | st.tuples(rationals, rationals))
+    alg = PL if ends is None else pl_algebra(*ends)
+    f = arrays(data.draw, alg, rationals)
+    assert_walks_match_reference(alg, f, shared_chain_sets(data.draw, f.poset))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_birational_shared_order_walks_match_reference(data):
+    ends = data.draw(st.none() | st.tuples(positive_rationals, positive_rationals))
+    alg = BIRATIONAL if ends is None else birational_algebra(*ends)
+    f = arrays(data.draw, alg, positive_rationals)
+    assert_walks_match_reference(alg, f, shared_chain_sets(data.draw, f.poset))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([PL, BIRATIONAL]), st.sampled_from(POSETS), st.data())
+def test_shared_order_walks_match_reference_on_unchecked_arrays(alg, poset, data):
+    'A birational start that is not positive still comes back as PArrays.'
+    values = data.draw(st.lists(signed, min_size=poset.size, max_size=poset.size))
+    f = PArray(poset, values, data.draw(st.tuples(signed, signed)))
+    assert_walks_match_reference(alg, f, shared_chain_sets(data.draw, poset))

@@ -1,3 +1,7 @@
+from fractions import Fraction
+
+import pytest
+
 from togglekit.polytopes import in_order_polytope
 from togglekit.posets import rectangle_poset, triangle_poset
 from togglekit import BIRATIONAL, PL
@@ -10,6 +14,8 @@ from togglekit.sampling import (
     random_tableau,
     seeded_rng,
 )
+from togglekit.rational import Rat
+from togglekit.serialize import poset_from_json
 from togglekit.tableaux import Tableau
 
 
@@ -86,3 +92,32 @@ def test_random_tableaux_explore_the_space():
     rng = seeded_rng(37)
     seen = {random_tableau(2, 2, 4, rng) for _ in range(60)}
     assert len(seen) > 5
+
+
+def fraction_push(poset, rng, denominator=20):
+    'random_polytope_point as it was: Fractions drawn, then pushed up along covers.'
+    values = [Fraction(rng.randint(0, denominator), denominator) for _ in range(poset.size)]
+    for x in range(poset.size):
+        for lo in poset.lower_covers[x]:
+            if values[lo] > values[x]:
+                values[x] = values[lo]
+    return values
+
+
+JSON_POSET = {"size": 5, "labels": ["a", "b", "c", "d", "e"],
+              "covers": [[0, 2], [1, 2], [1, 3], [2, 4], [3, 4]]}
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [rectangle_poset(3, 4), triangle_poset(4), poset_from_json(JSON_POSET)],
+    ids=["rectangle", "triangle", "json"],
+)
+@pytest.mark.parametrize("denominator", [20, 7])
+def test_polytope_points_equal_the_fraction_push(poset, denominator):
+    for seed in range(200):
+        rng, old = seeded_rng(seed), seeded_rng(seed)
+        point = random_polytope_point(poset, rng, denominator)
+        assert point == fraction_push(poset, old, denominator)
+        assert all(type(v) is Rat for v in point)
+        assert rng.random() == old.random()  # the same draws from the stream

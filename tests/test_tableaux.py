@@ -18,7 +18,7 @@ from togglekit.posets import rectangle_poset
 from togglekit.rational import Rat
 from togglekit.sampling import random_tableau, seeded_rng
 from togglekit.tableaux import GtPattern, Tableau, TableauError, rectangle_type
-from togglekit.verify import BRIDGE_SHAPES
+from togglekit.verify import BRIDGE_SHAPES, suite_bridge
 
 # running example: 2x3 tableau with entries up to 5
 T = Tableau([[1, 2, 2], [3, 5, 5]], 5)
@@ -257,3 +257,16 @@ def test_array_refuses_more_than_max_array_size(monkeypatch):
     assert tableau_to_array(Tableau([[1, 1], [2, 2]], 5)).poset.size == 6
     with pytest.raises(TableauError, match="more than the limit of 6"):
         tableau_to_array(Tableau([[1, 1], [2, 2]], 6))
+
+
+def test_bridge_suite_builds_one_poset_per_shape(monkeypatch):
+    built = []
+
+    def counting(a, b):
+        built.append((a, b))
+        return rectangle_poset(a, b)
+
+    monkeypatch.setattr(tableaux, "rectangle_poset", counting)
+    tableaux._rectangle.cache_clear()
+    report = suite_bridge(shapes=((2, 3, 5), (1, 3, 4)), samples=5, seed=1)
+    assert report["pass"] and built == [(2, 3), (1, 3)]
