@@ -17,15 +17,17 @@ Sweeps (rowmotion, promotion, their inverses and file toggles) are
 walks: iterate(alg, f, order, times) reads entry x after times[x] sweeps
 of order.  pl_algebra and birational_algebra put an exact integer Lane
 in the algebra's sweep slot, in three parts: enter puts f's values and
-boundary into ints (or declines), stage runs one walk's toggle loop in
-those ints, and leave builds one rational per read entry, keeping f's
-own values elsewhere.  iterate is enter, one stage, leave.
-walks(alg, f, *chains) walks several chains of (order, times) stages
-from one enter, walks a shared leading run of stage objects once, and
-never leaves: its results are lane states, which compare exactly as the
-walked arrays would.  Stages that continue one run over the same order
-object share one walk of that order, max(times) sweeps over all their
-times, each stage's reads going to its own state.
+boundary into one int state (or declines), stage runs one walk's toggle
+loop in that state, and leave builds one rational per read entry,
+keeping f's own values elsewhere.  iterate is enter, one stage, leave.
+Several walks from one f go in two steps.  walk_program(poset, *chains)
+compiles chains of (order, times) stages once: chains that start with
+the same stage objects share that run, stages that continue one run over
+the same order object share one walk of it (max(times) sweeps over all
+their times, each stage's reads going to its own state), and each walk's
+schedule is looked up there.  walks(alg, f, program) then only enters f,
+runs the compiled walks and picks one state per chain; it never leaves,
+since lane states compare exactly as the walked arrays would.
 
 - The piecewise-linear lane scales the values and the boundary by D, the
   lcm of all their denominators.  max, min, + and - map the lattice
@@ -46,7 +48,12 @@ toggle of x is live when its result reaches a read entry, directly or
 through later toggles that take x's value as their own previous value
 or as a cover's; one backward pass over the sweeps decides it.  The
 recombination shears read column j after j - 1 sweeps, so half of their
-toggles are dead.  Skipping a dead toggle changes no read entry.
+toggles are dead.  Skipping a dead toggle changes no read entry.  A
+state has two slots past the elements, size for the bottom boundary
+value and size + 1 for the top, and a toggle names the slots it reads:
+(x, l0, l1, lower_rest, u0, u1, upper_rest), where a minimal element's
+l0 is the bottom slot and a maximal element's u0 the top slot.  So each
+lane has one toggle loop for every number of covers.
 
 An algebra built directly with ToggleAlgebra(...) has no lane and walks
 through _toggled_value, every toggle of every sweep, one at a time with
@@ -136,27 +143,42 @@ class ToggleAlgebra:
         return f"ToggleAlgebra({self.name!r})"
 
 
+def _cover_slots(covers, boundary):
+    'First cover (or the boundary slot), second cover or None, and the rest.'
+    if not covers:
+        return boundary, None, ()
+    return covers[0], (covers[1] if len(covers) > 1 else None), covers[2:]
+
+
 def _schedule(poset, order, *times):
-    """For each sweep k = 1..max(times), the live toggles to run as
-    (x, lower covers, upper covers) in order, and, per times vector, the
-    entries x of order with times[x] == k to read after them.  A toggle
-    is live when any of the vectors' reads needs it.
+    """For each sweep k = 1..max(times), the live toggles to run in order,
+    and, per times vector, the entries x of order with times[x] == k to
+    read after them.  A toggle is live when any of the vectors' reads
+    needs it.
+
+    A toggle is (x, l0, l1, lower_rest, u0, u1, upper_rest): l0 is x's
+    first lower cover, or the bottom slot size when it has none, l1 the
+    second or None, lower_rest the others; u0, u1 and upper_rest likewise
+    for the upper covers, with the top slot size + 1.
     """
     key = (tuple(order), *map(tuple, times))
     plan = poset._schedules.get(key)
     if plan is None:
-        lower, upper = poset.lower_covers, poset.upper_covers
-        steps = [(x, lower[x], upper[x]) for x in order]
+        size, lower, upper = poset.size, poset.lower_covers, poset.upper_covers
         plan, needed = [], set()  # entries whose current value is read later
         for k in range(max((max(t, default=0) for t in times), default=0), 0, -1):
             due = tuple(tuple(x for x in order if t[x] == k) for t in times)
             needed.update(*due)
             kept = []
-            for step in reversed(steps):
-                if step[0] in needed:
-                    kept.append(step)
-                    needed.update(step[1], step[2])
-            plan.append((kept[::-1], due))
+            for x in reversed(order):
+                if x in needed:
+                    kept.append(x)
+                    needed.update(lower[x], upper[x])
+            toggles = [
+                (x, *_cover_slots(lower[x], size), *_cover_slots(upper[x], size + 1))
+                for x in reversed(kept)
+            ]
+            plan.append((toggles, due))
         if len(poset._schedules) >= MAX_SCHEDULES:
             poset._schedules.clear()
         plan = poset._schedules[key] = plan[::-1]
@@ -167,8 +189,10 @@ class Lane(namedtuple("Lane", "enter stage leave")):
     """An exact integer lane, shared by iterate and walks.
 
     enter(values, boundary) -> (ends, start state), or None to decline;
-    stage(ends, state, plan, count) -> the count states one _schedule
-    plan of count times vectors reads, one per vector;
+    a state holds the values at slots 0..size-1 and the bottom and top
+    boundary values at slots size and size + 1, which no toggle writes.
+    stage(state, plan, count) -> the count states one _schedule plan of
+    count times vectors reads, one per vector;
     leave(ends, values, start, state, reads) -> values with the entries
     in reads rebuilt from state.  A call is the sweep slot's contract.
     """
@@ -181,34 +205,38 @@ class Lane(namedtuple("Lane", "enter stage leave")):
             return None
         ends, start = entered
         plan = _schedule(poset, order, times)
-        (walked,) = self.stage(ends, start, plan, 1)
+        (walked,) = self.stage(start, plan, 1)
         return self.leave(ends, values, start, walked, [x for _, (reads,) in plan for x in reads])
 
 
 def _pl_enter(values, boundary):
-    'Values and boundary scaled by D, the lcm of all their denominators.'
+    'Values, then bottom and top, scaled by D, the lcm of all their denominators.'
     den = lcm(*(v.denominator for v in (*boundary, *values)))
-    bottom, top = (b.numerator * (den // b.denominator) for b in boundary)
-    return (bottom, top, den), [v.numerator * (den // v.denominator) for v in values]
+    return den, [v.numerator * (den // v.denominator) for v in (*values, *boundary)]
 
 
-def _pl_stage(ends, ints, plan, count):
+def _pl_stage(ints, plan, count):
     'One piecewise-linear walk in ints on the lattice (1/D)Z^P.'
-    bottom, top, _ = ends
     ints = list(ints)
     outs = [list(ints) for _ in range(count)]
     for toggles, reads in plan:
-        for x, lows, ups in toggles:
-            # Explicit loops: max() and min() of a comprehension cost three
-            # times as much on covers of one or two elements.
-            left = ints[lows[0]] if lows else bottom
-            for y in lows:
-                if ints[y] > left:
-                    left = ints[y]
-            right = ints[ups[0]] if ups else top
-            for y in ups:
-                if ints[y] < right:
-                    right = ints[y]
+        for x, l0, l1, lows, u0, u1, ups in toggles:
+            # Explicit compares: max() and min() cost three times as much
+            # on covers of one or two elements.
+            left = ints[l0]
+            if l1 is not None:
+                if ints[l1] > left:
+                    left = ints[l1]
+                for y in lows:
+                    if ints[y] > left:
+                        left = ints[y]
+            right = ints[u0]
+            if u1 is not None:
+                if ints[u1] < right:
+                    right = ints[u1]
+                for y in ups:
+                    if ints[y] < right:
+                        right = ints[y]
             ints[x] = left + right - ints[x]
         for out, xs in zip(outs, reads):
             for x in xs:
@@ -216,10 +244,9 @@ def _pl_stage(ends, ints, plan, count):
     return outs
 
 
-def _pl_leave(ends, values, start, ints, reads):
+def _pl_leave(den, values, start, ints, reads):
     # Entries stay on a few lattice points, so each point becomes a
     # rational once; the input values seed the table.
-    den = ends[2]
     rats = dict(zip(start, values))
     out = list(values)
     for x in reads:
@@ -233,34 +260,33 @@ def _pl_leave(ends, values, start, ints, reads):
 
 def _birational_enter(values, boundary):
     '(numerator, denominator) pairs; declines unless every value and boundary value is positive.'
-    nums = [v.numerator for v in values]
-    (bottom_n, bottom_d), (top_n, top_d) = ((b.numerator, b.denominator) for b in boundary)
-    if min(nums, default=1) <= 0 or bottom_n <= 0 or top_n <= 0:
+    nums = [v.numerator for v in (*values, *boundary)]
+    if min(nums) <= 0:
         return None
-    return (bottom_n, bottom_d, top_n, top_d), (nums, [v.denominator for v in values])
+    return None, (nums, [v.denominator for v in (*values, *boundary)])
 
 
-def _birational_stage(ends, state, plan, count):
+def _birational_stage(state, plan, count):
     'One birational walk on reduced positive pairs, one gcd per toggle.'
-    bottom_n, bottom_d, top_n, top_d = ends
     nums, dens = list(state[0]), list(state[1])
     outs = [(list(nums), list(dens)) for _ in range(count)]
     for toggles, reads in plan:
-        for x, lows, ups in toggles:
-            if lows:
-                ln, ld = nums[lows[0]], dens[lows[0]]
-                for y in lows[1:]:
-                    ln, ld = ln * dens[y] + nums[y] * ld, ld * dens[y]
-            else:
-                ln, ld = bottom_n, bottom_d
-            if ups:
-                rn, rd = nums[ups[0]], dens[ups[0]]
-                for y in ups[1:]:
-                    # (rn/rd) * (n/d) / (rn/rd + n/d) = rn*n / (rn*d + n*rd)
+        for x, l0, l1, lows, u0, u1, ups in toggles:
+            ln, ld = nums[l0], dens[l0]
+            if l1 is not None:
+                n, d = nums[l1], dens[l1]
+                ln, ld = ln * d + n * ld, ld * d
+                for y in lows:
+                    n, d = nums[y], dens[y]
+                    ln, ld = ln * d + n * ld, ld * d
+            rn, rd = nums[u0], dens[u0]
+            if u1 is not None:
+                # (rn/rd) * (n/d) / (rn/rd + n/d) = rn*n / (rn*d + n*rd)
+                n, d = nums[u1], dens[u1]
+                rn, rd = rn * n, rn * d + n * rd
+                for y in ups:
                     n, d = nums[y], dens[y]
                     rn, rd = rn * n, rn * d + n * rd
-            else:
-                rn, rd = top_n, top_d
             n, d = ln * rn * dens[x], ld * rd * nums[x]
             g = gcd(n, d)
             nums[x], dens[x] = n // g, d // g
@@ -393,17 +419,27 @@ def iterate(alg, f, order, times):
     return f._replace(out)
 
 
-def walks(alg, f, *chains):
-    """One result per chain of (order, times) stages walked from f, each
-    stage as in iterate; chains that start with the same stage objects
-    walk that run once, and in a lane the stages that continue one run
-    over the same order object share one walk of it.  The results
-    compare with each other exactly as the walked PArrays would: they
-    are lane states, or, with no lane or on input the lane declines, the
-    PArrays iterate gives.
+class WalkProgram(namedtuple("WalkProgram", "poset steps results")):
+    """Chains of walks compiled by walk_program for one poset.
+
+    steps: (source, plan, stages) per walk of one order, in run order,
+    where source is the index of the state the walk starts from, stages
+    the (order, times) stages it reads, and plan their _schedule plan;
+    the states a step makes get the next indices, one per stage, after
+    the start state at index 0.  results: the index of each chain's state.
     """
-    lane = alg.sweep
-    entered = lane.enter(f.values, f.boundary) if isinstance(lane, Lane) else None
+
+    __slots__ = ()
+
+
+def walk_program(poset, *chains):
+    """Compile chains of (order, times) stages for walks on poset.
+
+    Chains that start with the same stage objects share that run, and
+    the stages that continue one run over the same order object share
+    one walk of that order: one step, max(times) sweeps over all their
+    times, with a _schedule plan pruned for the reads of them all.
+    """
     # (stage ids of a run, id of an order) -> the stages that continue the
     # run over that order, by id
     shared = {}
@@ -412,23 +448,46 @@ def walks(alg, f, *chains):
         for stage in chain:
             shared.setdefault((key, id(stage[0])), {})[id(stage)] = stage
             key += (id(stage),)
-    walked = {(): f if entered is None else entered[1]}  # stage ids of a run -> its walk
-    results = []
+    walked = {(): 0}  # stage ids of a run -> the index of its state
+    steps, results = [], []
     for chain in chains:
         key = ()
         for stage in chain:
             prefix, key = key, key + (id(stage),)
             if key in walked:
                 continue
-            if entered is None:
-                walked[key] = iterate(alg, walked[prefix], *stage)
-                continue
             group = shared[prefix, id(stage[0])]
-            plan = _schedule(f.poset, stage[0], *(times for _, times in group.values()))
-            states = lane.stage(entered[0], walked[prefix], plan, len(group))
-            walked.update(zip((prefix + (k,) for k in group), states))
+            stages = tuple(group.values())
+            plan = _schedule(poset, stage[0], *(times for _, times in stages))
+            steps.append((walked[prefix], plan, stages))
+            walked.update((prefix + (k,), i) for i, k in enumerate(group, len(walked)))
         results.append(walked[key])
-    return results
+    return WalkProgram(poset, tuple(steps), tuple(results))
+
+
+def walks(alg, f, program):
+    """One result per chain of a walk_program, walked from f, each stage
+    as in iterate.  In a lane this is one enter and one stage call per
+    step of the program, and nothing is left: the results are lane
+    states, which compare with each other exactly as the walked PArrays
+    would.  With no lane, or on input the lane declines, they are the
+    PArrays iterate gives.
+    """
+    if f.poset != program.poset:
+        raise PosetError("the walk program is for another poset")
+    lane = alg.sweep
+    entered = lane.enter(f.values, f.boundary) if isinstance(lane, Lane) else None
+    if entered is None:
+        states = [f]
+        for source, _, stages in program.steps:
+            start = states[source]
+            states += [iterate(alg, start, *stage) for stage in stages]
+    else:
+        run = lane.stage
+        states = [entered[1]]
+        for source, plan, stages in program.steps:
+            states += run(states[source], plan, len(stages))
+    return [states[k] for k in program.results]
 
 
 def _sweep(alg, f, order):

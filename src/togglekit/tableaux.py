@@ -17,10 +17,11 @@ from .posets import PosetError, rectangle_poset
 from .rational import Rat
 
 
-# Largest max_entry a tableau file or a bridge shape may declare.  A
-# tableau's promotion makes max_entry - 1 Bender-Knuth passes and its
-# array has at least max_entry - 1 elements, so the bound keeps every
-# tableau action on a small input fast.
+# Largest max_entry a tableau file or a bridge shape may declare.  It
+# bounds the work of one tableau action, linear in max_entry: a promotion
+# makes max_entry - 1 Bender-Knuth passes, and an array has A(max_entry - A)
+# elements for A rows.  The bridge suite runs about max_entry^2 of these
+# per sample, so verify.MAX_BRIDGE_WORK bounds its shapes as well.
 MAX_ENTRY = 20000
 # Most slots tableau_to_pattern may build: n(n+1)/2 for max entry n.
 MAX_PATTERN_SLOTS = 10**6

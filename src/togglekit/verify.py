@@ -28,6 +28,7 @@ from .dynamics import (
     rowmotion,
     toggle,
     vertex_from_ideal,
+    walk_program,
     walks,
 )
 from .homomesy import (
@@ -67,6 +68,24 @@ from .tableaux import (
 MAX_REPORTED = 3
 
 BRIDGE_SHAPES = ((2, 3, 5), (2, 2, 4), (1, 3, 4))
+
+# Most work one bridge sample may take, in _bridge_work's units of about
+# 1-2 us each (one process on a 2-core Linux host, Python 3.11): one sample
+# took 0.45-0.76 s at 1x1x400 (319,600 units), 0.47-0.63 s at 5x20x200
+# (395,000) and 0.41 s at 1x20000x100 (219,900).
+MAX_BRIDGE_WORK = 400_000
+
+
+def _bridge_work(rows, cols, max_entry):
+    """Work of one bridge sample with entries at most n: its
+    Bender-Knuth check maps n - 1 tableaux to arrays of rows * (n - rows)
+    elements, one unit each, and its promotion-power check makes about
+    n * n Bender-Knuth passes over rows rows, one unit per row plus one
+    per thousand entries a pass may copy.
+    """
+    n = max_entry
+    return n * rows * (n - rows) + n * n * rows * (1 + cols // 1000)
+
 
 RANK_ROUNDS = 4
 
@@ -156,11 +175,13 @@ def suite_order(poset, samples=100, seed=None, start=None):
     rng = seeded_rng(seed)
     powers = [n] * poset.size
     # One chain per map, in names order, then f itself.
-    chains = [[(poset.rowmotion_order, powers)], [(poset.promotion_order, powers)], []]
+    program = walk_program(
+        poset, [(poset.rowmotion_order, powers)], [(poset.promotion_order, powers)], []
+    )
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
 
         def returns(f):
-            *powered, same = walks(alg, f, *chains)
+            *powered, same = walks(alg, f, program)
             return [_unless(g == same, f) for g in powered]
 
         checks += _checks(regime, arrays, names, returns)
@@ -204,13 +225,15 @@ def suite_recombination(poset, samples=100, seed=None, start=None):
     row_unshear = (unshear[0], [t + 1 for t in unshear[1]])
     # Both sides of each check as a chain from f, in _SHEAR_CHECKS order;
     # the last chain is f itself.
-    chains = ([prom, shear], [shear, row], [row_unshear], [unshear, prom], [unshear, shear], [])
+    program = walk_program(
+        poset, [prom, shear], [shear, row], [row_unshear], [unshear, prom], [unshear, shear], []
+    )
     rng = seeded_rng(seed)
     checks = []
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
 
         def probe(f):
-            walked = walks(alg, f, *chains)
+            walked = walks(alg, f, program)
             return [_unless(walked[k] == walked[k + 1], f) for k in (0, 2, 4)]
 
         checks += _checks(regime, arrays, _SHEAR_CHECKS, probe)
@@ -344,7 +367,8 @@ def suite_bridge(shapes=BRIDGE_SHAPES, samples=100, seed=None):
     For random rectangular tableaux: each Bender-Knuth involution acts as
     the file toggle of the same index, whole-tableau promotion acts as
     piecewise-linear promotion, and promotion has order max_entry.
-    Shapes above the tableau limits are refused before any draw.
+    Shapes above the tableau limits, or whose samples would each cost
+    more than MAX_BRIDGE_WORK, are refused before any draw.
     """
     for rows, cols, max_entry in shapes:
         if rows * cols > MAX_ARRAY_SIZE:
@@ -354,6 +378,12 @@ def suite_bridge(shapes=BRIDGE_SHAPES, samples=100, seed=None):
             )
         if max_entry > MAX_ENTRY:
             raise TableauError(f"max entry {max_entry} is above the limit of {MAX_ENTRY}")
+        work = _bridge_work(rows, cols, max_entry)
+        if work > MAX_BRIDGE_WORK:
+            raise TableauError(
+                f"a {rows}x{cols}x{max_entry} bridge sample costs {work} units of work, "
+                f"more than the limit of {MAX_BRIDGE_WORK}"
+            )
     rng = seeded_rng(seed)
     checks = []
     for rows, cols, max_entry in shapes:

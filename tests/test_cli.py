@@ -227,6 +227,16 @@ def test_verify_bridge_rejects_flat_shape(capsys):
     [
         ("1x100000000x2", "a 1x100000000 tableau has 100000000 entries, more than the limit of 20000"),
         ("2x2x100000", "max entry 100000 is above the limit of 20000"),
+        # 448 * 447 + 448**2 units: one past the largest 1x1 shape.
+        (
+            "1x1x448",
+            "a 1x1x448 bridge sample costs 400960 units of work, more than the limit of 400000",
+        ),
+        # Rows of 20,000 entries: 140 * 139 + 140**2 * 21 units.
+        (
+            "1x20000x140",
+            "a 1x20000x140 bridge sample costs 431060 units of work, more than the limit of 400000",
+        ),
     ],
 )
 def test_verify_bridge_refuses_a_shape_above_the_tableau_limits(capsys, shape, message):
@@ -235,6 +245,15 @@ def test_verify_bridge_refuses_a_shape_above_the_tableau_limits(capsys, shape, m
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_verify_bridge_runs_the_largest_shape_under_the_work_limit(capsys):
+    # 447 * 446 + 447**2 = 399,171 units of the 400,000 allowed.
+    code, out, err = run_cli(
+        capsys, "verify", "bridge", "--shape", "1x1x447", "--samples", "1", "--seed", "1"
+    )
+    assert code == 0 and err == ""
+    assert "tableau-promotion-power-447-is-identity-1x1-entries-447" in out
 
 
 def test_verify_bridge_names_the_tableau_shape_it_needs(capsys):

@@ -9,7 +9,11 @@ sweeps, must give the same array both ways, or raise ZeroDivisionError
 both ways.  The lanes run only the toggles that a read entry depends on;
 the schedule tests pin how many that is on the walks the suites make.
 The birational lane declines input with a value or boundary value that
-is not positive, so the reference loop runs and raises there.
+is not positive, so the reference loop runs and raises there.  Besides
+rectangles and triangles, the posets include two without an rc embedding
+whose elements have three and four lower or upper covers, so that the
+lanes' loops over covers past the second run too; they have rowmotion
+walks but no promotion, files or shears.
 
 walks runs chains of walks in a lane's own ints and returns lane states;
 they must be the reference's arrays, entry for entry, and compare equal
@@ -38,15 +42,20 @@ from togglekit import (
     rowmotion,
     rowmotion_inverse,
 )
-from togglekit import birational
+from togglekit import birational, dynamics
 from togglekit.birational import _depths, shear_stages
-from togglekit.dynamics import MAX_SCHEDULES, Lane, _schedule, iterate, walks
+from togglekit.dynamics import MAX_SCHEDULES, Lane, _schedule, iterate, walk_program, walks
 from togglekit.verify import suite_recombination
-from togglekit.posets import rectangle_poset, triangle_poset
+from togglekit.posets import Poset, PosetError, rectangle_poset, triangle_poset
 from togglekit.rational import Rat
 
+# 0 < 1, 2, 3 < 4; and 0, 1 < 2, 0 < 3, 4, 0, 1 < 5, with 2, 3, 4, 5 < 6.
+WIDE = [
+    Poset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+    Poset(7, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 6), (3, 6), (4, 6), (5, 6)]),
+]
 POSETS = [rectangle_poset(a, b) for a in range(1, 4) for b in range(1, 5)]
-POSETS += [triangle_poset(n) for n in range(1, 5)]
+POSETS += [triangle_poset(n) for n in range(1, 5)] + WIDE
 
 small = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12)
 large = st.fractions(
@@ -80,7 +89,10 @@ def reference(alg):
 
 
 def sweeps(poset):
-    'Every sweep of the poset: the four whole-poset maps and each file toggle.'
+    """Every sweep of the poset: the four whole-poset maps and each file
+    toggle, or without an rc embedding rowmotion and its inverse."""
+    if poset.rc is None:
+        return [rowmotion, rowmotion_inverse]
     maps = [rowmotion, rowmotion_inverse, promotion, promotion_inverse]
     maps += [
         lambda alg, f, k=k: file_toggle(alg, f, k)
@@ -90,7 +102,10 @@ def sweeps(poset):
 
 
 def orders(poset):
-    'Every sweep order: rowmotion, promotion, their inverses and each file.'
+    """Every sweep order: rowmotion, promotion, their inverses and each
+    file, or without an rc embedding rowmotion's order and its reverse."""
+    if poset.rc is None:
+        return [poset.rowmotion_order, poset.rowmotion_order[::-1]]
     forward = [poset.rowmotion_order, poset.promotion_order]
     return forward + [order[::-1] for order in forward] + list(poset.files)
 
@@ -205,6 +220,36 @@ def test_schedules_run_only_the_live_toggles(a, b):
     assert toggle_counts(poset, poset.rowmotion_order, [a + b] * poset.size) == a * b * (a + b)
 
 
+def test_schedule_toggles_name_boundary_slots_and_every_cover():
+    poset = WIDE[0]
+    ((toggles, reads),) = _schedule(poset, poset.rowmotion_order, [1] * poset.size)
+    # Slot 5 holds the bottom boundary value and slot 6 the top one.
+    assert toggles == [
+        (4, 1, 2, (3,), 6, None, ()),
+        (1, 0, None, (), 4, None, ()),
+        (2, 0, None, (), 4, None, ()),
+        (3, 0, None, (), 4, None, ()),
+        (0, 5, None, (), 1, 2, (3,)),
+    ]
+    assert reads == ((4, 1, 2, 3, 0),)
+
+
+def test_recombination_suite_compiles_its_walks_once(monkeypatch):
+    calls = []
+
+    def schedule(*args):
+        calls.append(args)
+        return _schedule(*args)
+
+    monkeypatch.setattr(dynamics, "_schedule", schedule)
+    counts = []
+    for samples in (1, 20):
+        calls.clear()
+        assert suite_recombination(rectangle_poset(3, 3), samples=samples, seed=1)["pass"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_reciprocity_schedule_on_six_by_six():
     poset = rectangle_poset(6, 6)
     times = [i + j - 1 for i, j in poset.labels]
@@ -218,7 +263,7 @@ def test_birational_lane_raises_on_a_zero_whose_toggles_are_all_dead(shear):
     # Column 1 is read before any sweep, so no live toggle touches (2, 1) itself.
     for order in (poset.promotion_order[::-1], poset.rowmotion_order):
         live = _schedule(poset, order, _depths(poset))
-        assert all(x != zero for toggles, _ in live for x, _, _ in toggles)
+        assert all(x != zero for toggles, _ in live for x, _, _, _, _, _, _ in toggles)
     values = [Rat(1)] * poset.size
     values[zero] = Rat(0)
     f = PArray(poset, values, (Rat(1), Rat(1)))
@@ -243,19 +288,22 @@ def stages(poset):
     """One stage per sweep, in orders(poset) order with each sweep's inverse
     at the same index of inverses(poset), then the two shears."""
     once = [1] * poset.size
-    return [(order, once) for order in orders(poset)] + list(shear_stages(poset))
+    shears = [] if poset.rc is None else list(shear_stages(poset))
+    return [(order, once) for order in orders(poset)] + shears
 
 
 def inverses(poset):
     'Index of the inverse of each sweep stage: toggles are involutions.'
+    if poset.rc is None:
+        return [1, 0]
     return [2, 3, 0, 1] + list(range(4, 4 + len(poset.files)))
 
 
 def walked(alg, f, chains):
-    """walks(alg, f, *chains) as arrays, with the matrix of which results
-    compare equal; or ZeroDivisionError."""
+    """The walks of walk_program(f.poset, *chains) from f as arrays, with
+    the matrix of which results compare equal; or ZeroDivisionError."""
     try:
-        results = walks(alg, f, *chains)
+        results = walks(alg, f, walk_program(f.poset, *chains))
     except ZeroDivisionError:
         return ZeroDivisionError
     same = [[a == b for b in results] for a in results]
@@ -354,9 +402,9 @@ def test_walks_share_leading_stages():
     poset = rectangle_poset(3, 3)
     calls = []
 
-    def stage(ends, state, plan, count):
+    def stage(state, plan, count):
         calls.append(count)
-        return PL.sweep.stage(ends, state, plan, count)
+        return PL.sweep.stage(state, plan, count)
 
     lane = Lane(PL.sweep.enter, stage, PL.sweep.leave)
     counting = ToggleAlgebra("pl", max, min, PL.recombine, PL.bottom_value, PL.top_value, sweep=lane)
@@ -365,14 +413,25 @@ def test_walks_share_leading_stages():
     copy = [(*row[0],)]  # an equal stage, but another object
     twice = [(row[0][0], [2] * poset.size)]  # row's order, read one sweep later
     other = [(list(row[0][0]), row[0][1])]  # an equal stage over another order object
-    chains = (row + prom, row + row, row, [], copy, twice, other)
-    results = walks(counting, f, *chains)
+    program = walk_program(poset, row + prom, row + row, row, [], copy, twice, other)
+    results = walks(counting, f, program)
     # One walk of row's order from f reads row, copy and twice; row's run
     # continues over two orders; other's order is walked on its own.
     assert calls == [3, 1, 1, 1]
-    assert results == walks(PL, f, *chains)
+    assert results == walks(PL, f, program)
     assert results[2] == results[4] != results[3]
     assert results[5] == results[1] != results[2] == results[6]
+
+
+def test_walks_refuse_a_program_for_another_poset():
+    f = PL.array(rectangle_poset(2, 2), [Rat(k + 1, 5) for k in range(4)])
+    program = walk_program(rectangle_poset(3, 3), [])
+    with pytest.raises(PosetError, match="another poset"):
+        walks(PL, f, program)
+    # An equal poset built again is the same poset.
+    assert walks(PL, f, walk_program(rectangle_poset(2, 2), [])) == walks(
+        PL, f, walk_program(f.poset, [])
+    )
 
 
 def shared_chain_sets(draw, poset):
