@@ -9,7 +9,7 @@ import json
 import os
 import sys
 
-from .dynamics import BIRATIONAL, MAPS, PL, promotion
+from .dynamics import ALGEBRAS, MAPS, PL, promotion, step_map
 from .orbits import OrbitError, orbit
 from .posets import OrderIdeal, PosetError, rectangle_poset
 from .rational import format_rat, parse_rat
@@ -27,7 +27,7 @@ from .verify import SUITES, suite_bridge
 
 TWO_BY_TWO_ALIASES = {"w": (1, 1), "x": (2, 1), "y": (1, 2), "z": (2, 2)}
 
-REGIMES = ("combinatorial", "pl", "birational")
+REGIMES = ("combinatorial", *ALGEBRAS)
 
 
 def _parse_shape(text, form="AxB"):
@@ -107,15 +107,13 @@ def cmd_orbit(args):
     poset = _resolve_poset(args)
     labels = _display_labels(poset)
     start = _parse_start(poset, args.regime, args.start)
-    ideal_step, array_step = MAPS[args.map]
     if args.regime == "combinatorial":
-        record = orbit(ideal_step, start, cap=args.cap)
+        record = orbit(MAPS[args.map][0], start, cap=args.cap)
         states_json = [list(state.indices) for state in record]
         lines = [_format_ideal(state, labels) for state in record]
     else:
-        alg = PL if args.regime == "pl" else BIRATIONAL
-        f = alg.array(poset, start)
-        record = orbit(lambda g: array_step(alg, g), f, cap=args.cap)
+        alg = ALGEBRAS[args.regime]
+        record = orbit(step_map(alg, args.map), alg.array(poset, start), cap=args.cap)
         states_json = [[format_rat(v) for v in state.values] for state in record]
         lines = [_format_values(state.values) for state in record]
     if args.json:

@@ -19,7 +19,8 @@ of order.  pl_algebra and birational_algebra put an exact integer Lane
 in the algebra's sweep slot, in three parts: enter puts f's values and
 boundary into one int state (or declines), stage runs one walk's toggle
 loop in that state, and leave builds one rational per read entry,
-keeping f's own values elsewhere.  iterate is enter, one stage, leave.
+keeping f's own values elsewhere.  iterate calls the lane itself:
+enter, one _schedule plan, one stage, leave.
 Several walks from one f go in two steps.  walk_program(poset, *chains)
 compiles chains of (order, times) stages once: chains that start with
 the same stage objects share that run, stages that continue one run over
@@ -38,8 +39,8 @@ since lane states compare exactly as the walked arrays would.
   and reduces the result with a single gcd per toggle, so states are
   reduced positive pairs.  It enters only positive input, where no rule
   can divide by zero; when a value or a boundary value is not positive
-  it declines, and iterate runs the reference loop below, which raises
-  where the rules divide by zero.
+  it declines, and iterate and walks run the reference loop below, which
+  raises where the rules divide by zero.
 
 A lane runs its walk from a schedule (_schedule), built once per poset,
 order and times and cached on the poset, MAX_SCHEDULES plans at most:
@@ -56,10 +57,11 @@ l0 is the bottom slot and a maximal element's u0 the top slot.  So each
 lane has one toggle loop for every number of covers.
 
 An algebra built directly with ToggleAlgebra(...) has no lane and walks
-through _toggled_value, every toggle of every sweep, one at a time with
-the algebra's own rules.  That loop is the reference semantics: the
-lanes are tested equal to it on every walk, boundary and shape, and
-single toggles always use it.
+through _walk, which runs every toggle of every sweep through
+_toggled_value, one at a time with the algebra's own rules.  That loop
+is the reference semantics, and the one loop iterate and walks fall
+back to: the lanes are tested equal to it on every walk, boundary and
+shape, and single toggles always use _toggled_value.
 """
 
 from collections import namedtuple
@@ -102,10 +104,9 @@ class ToggleAlgebra:
         self.bottom_value = bottom_value
         self.top_value = top_value
         self.positive_domain = positive_domain
-        # sweep(poset, values, boundary, order, times) -> the walked values
-        # (see iterate), as a Lane gives them; None declines the walk, and
-        # so does a None slot: iterate then runs the generic
-        # toggle-by-toggle loop, and walks calls iterate.
+        # The integer Lane that iterate and walks run, or None.  With no
+        # lane, and on input the lane declines, they run the reference
+        # loop _walk.
         self.sweep = sweep
 
     @property
@@ -194,19 +195,10 @@ class Lane(namedtuple("Lane", "enter stage leave")):
     stage(state, plan, count) -> the count states one _schedule plan of
     count times vectors reads, one per vector;
     leave(ends, values, start, state, reads) -> values with the entries
-    in reads rebuilt from state.  A call is the sweep slot's contract.
+    in reads rebuilt from state.
     """
 
     __slots__ = ()
-
-    def __call__(self, poset, values, boundary, order, times):
-        entered = self.enter(values, boundary)
-        if entered is None:
-            return None
-        ends, start = entered
-        plan = _schedule(poset, order, times)
-        (walked,) = self.stage(start, plan, 1)
-        return self.leave(ends, values, start, walked, [x for _, (reads,) in plan for x in reads])
 
 
 def _pl_enter(values, boundary):
@@ -402,12 +394,8 @@ def toggle(alg, f, x):
     return f._replace(values)
 
 
-def iterate(alg, f, order, times):
-    'Each entry x of f as it stands after times[x] sweeps of order; untouched x keep f(x).'
-    if alg.sweep is not None:
-        walked = alg.sweep(f.poset, f.values, f.boundary, order, times)
-        if walked is not None:
-            return f._replace(walked)
+def _walk(alg, f, order, times):
+    'The reference walk of iterate: every toggle of every sweep through _toggled_value.'
     poset, boundary = f.poset, f.boundary
     values, out = list(f.values), list(f.values)
     for k in range(1, max(times, default=0) + 1):
@@ -417,6 +405,19 @@ def iterate(alg, f, order, times):
             if t == k:
                 out[x] = values[x]
     return f._replace(out)
+
+
+def iterate(alg, f, order, times):
+    'Each entry x of f as it stands after times[x] sweeps of order; untouched x keep f(x).'
+    lane = alg.sweep
+    entered = None if lane is None else lane.enter(f.values, f.boundary)
+    if entered is None:
+        return _walk(alg, f, order, times)
+    ends, start = entered
+    plan = _schedule(f.poset, order, times)
+    (walked,) = lane.stage(start, plan, 1)
+    reads = [x for _, (xs,) in plan for x in xs]
+    return f._replace(lane.leave(ends, f.values, start, walked, reads))
 
 
 class WalkProgram(namedtuple("WalkProgram", "poset steps results")):
@@ -467,21 +468,22 @@ def walk_program(poset, *chains):
 
 def walks(alg, f, program):
     """One result per chain of a walk_program, walked from f, each stage
-    as in iterate.  In a lane this is one enter and one stage call per
+    as in iterate.  In a lane this is one enter, then one stage call per
     step of the program, and nothing is left: the results are lane
     states, which compare with each other exactly as the walked PArrays
-    would.  With no lane, or on input the lane declines, they are the
-    PArrays iterate gives.
+    would.  With no lane, or on input the lane declines, every stage runs
+    the reference loop _walk, and the results are the PArrays iterate
+    gives.
     """
     if f.poset != program.poset:
         raise PosetError("the walk program is for another poset")
     lane = alg.sweep
-    entered = lane.enter(f.values, f.boundary) if isinstance(lane, Lane) else None
+    entered = None if lane is None else lane.enter(f.values, f.boundary)
     if entered is None:
         states = [f]
         for source, _, stages in program.steps:
             start = states[source]
-            states += [iterate(alg, start, *stage) for stage in stages]
+            states += [_walk(alg, start, *stage) for stage in stages]
     else:
         run = lane.stage
         states = [entered[1]]
@@ -521,6 +523,18 @@ def file_toggle(alg, f, index):
 
 # Map name -> (ideal step, array step); suites report their checks in this order.
 MAPS = {"rowmotion": (rowmotion_ideal, rowmotion), "promotion": (promotion_ideal, promotion)}
+
+# Regime name -> its algebra, for the regimes that walk arrays.
+ALGEBRAS = {"pl": PL, "birational": BIRATIONAL}
+
+
+def step_map(alg, map_name):
+    'Array step of the named map under alg, as a function of the array alone.'
+    try:
+        _, stepper = MAPS[map_name]
+    except KeyError:
+        raise PosetError(f"unknown map {map_name!r}; pick rowmotion or promotion") from None
+    return lambda f: stepper(alg, f)
 
 
 def vertex_from_ideal(ideal, boundary=(ZERO, ONE)):

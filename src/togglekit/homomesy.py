@@ -17,9 +17,9 @@ read off the aggregate with one sparse dot product or monomial.
 
 from math import prod
 
-from .dynamics import MAPS
+from .dynamics import step_map
 from .orbits import orbit
-from .posets import PosetError, rectangle_poset
+from .posets import rectangle_poset
 from .rational import ONE, Rat, ZERO, as_integer
 
 
@@ -93,14 +93,6 @@ def standard_functionals(a, b):
     ]
     out += [file_functional(a, b, k) for k in range(1, a + b)]
     return out
-
-
-def step_map(alg, map_name):
-    try:
-        _, stepper = MAPS[map_name]
-    except KeyError:
-        raise PosetError(f"unknown map {map_name!r}; pick rowmotion or promotion") from None
-    return lambda f: stepper(alg, f)
 
 
 def _orbit_columns(alg, map_name, f, cap):

@@ -13,8 +13,8 @@ position it is given, or finds it with one index lookup, and fills it
 with the index's own int for the image, so a filled table holds no ints
 of its own.  masks and index are shared by every table of one poset; a
 table is valid only for the toggle order and the lower/upper cover
-masks it was built for, and posets.Poset.sweep_table keys one per order
-by the order's contents.  The plain loop, _sweep_loop, is the oracle:
+masks it was built for, and posets._sweep keys one per order by the
+order's contents.  The plain loop, _sweep_loop, is the oracle:
 it runs on every miss, on masks that are not in the table, and whenever
 no table is given.
 """

@@ -41,22 +41,20 @@ def orbit(step, start, cap=1000):
     itself somewhere other than the start (diagnosing a non-invertible
     step or an unhashable-state bug rather than looping forever).
     """
-    states = [start]
-    positions = {start: 0}
+    positions = {start: 0}  # each state once, in the order walked
     current = step(start)
     while current != start:
         if current in positions:
             raise OrbitError(
                 f"trajectory re-entered state #{positions[current]} after "
-                f"{len(states)} steps without returning to the start; "
+                f"{len(positions)} steps without returning to the start; "
                 "the step map is not invertible on this input"
             )
-        if len(states) >= cap:
+        if len(positions) >= cap:
             raise OrbitError(f"no return to start within cap={cap} steps")
-        positions[current] = len(states)
-        states.append(current)
+        positions[current] = len(positions)
         current = step(current)
-    return OrbitRecord(states)
+    return OrbitRecord(positions)
 
 
 def orbit_partition(step, states, cap=1000):

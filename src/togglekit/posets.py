@@ -267,24 +267,6 @@ class Poset:
         except KeyError:
             raise PosetError(f"no element labelled {label!r}") from None
 
-    def sweep_table(self, order):
-        """The (masks, index, images) sweep table of a toggle order over J(P).
-
-        images[k] is the position of the image of masks[k], or None until
-        it is swept.  None until J(P) has been enumerated; see the module
-        docstring.
-        """
-        masks = self._ideal_masks
-        if masks is None:
-            return None
-        table = self._sweep_tables.get(order)
-        if table is None:
-            table = self._sweep_tables[order] = (
-                masks, self._ideal_index, [None] * len(masks)
-            )
-        self._last_table = (order, table, self.lower_masks, self.upper_masks)
-        return table
-
     def leq(self, x, y):
         'True when x <= y in the order.'
         return x == y or bool(self.strict_down_masks[y] & (1 << x))
@@ -473,9 +455,20 @@ def _image(poset, table, mask):
 
 
 def _sweep(ideal, order):
-    'One kernel sweep; an image in J(P) comes back as its shared ideal.'
+    """One kernel sweep; an image in J(P) comes back as its shared ideal.
+
+    Once J(P) is enumerated, the order's (masks, index, images) table is
+    made on first use and kept as the poset's last table; before, there
+    is none.  images[k] is the position of the image of masks[k], or None
+    until it is swept.
+    """
     poset = ideal.poset
-    table = poset.sweep_table(order)
+    masks, table = poset._ideal_masks, None
+    if masks is not None:
+        table = poset._sweep_tables.get(order)
+        if table is None:
+            table = poset._sweep_tables[order] = (masks, poset._ideal_index, [None] * len(masks))
+        poset._last_table = (order, table, poset.lower_masks, poset.upper_masks)
     k = ideal.position
     mask = pybitops.sweep(ideal.mask, order, poset.lower_masks, poset.upper_masks, table, k)
     if k is None:

@@ -12,7 +12,7 @@ piecewise-linear promotion.
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .dynamics import PL, PArray
+from .dynamics import PL
 from .posets import PosetError, rectangle_poset
 from .rational import Rat
 

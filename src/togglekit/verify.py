@@ -20,6 +20,7 @@ from .birational import (
     shear_stages,
 )
 from .dynamics import (
+    ALGEBRAS,
     BIRATIONAL,
     MAPS,
     PL,
@@ -139,9 +140,6 @@ def _power(step, x, n):
     return x
 
 
-_ALGEBRAS = {"pl": PL, "birational": BIRATIONAL}
-
-
 def _draws(regime, poset, rng, count):
     if regime == "pl":
         return [PL.array(poset, random_polytope_point(poset, rng)) for _ in range(count)]
@@ -152,7 +150,7 @@ def _regime_samples(poset, rng, count, start=None, regimes=("pl", "birational"))
     'Per regime (name, algebra, arrays): the one start, or count fresh draws in turn.'
     out = []
     for regime in regimes:
-        alg = _ALGEBRAS[regime]
+        alg = ALGEBRAS[regime]
         arrays = _draws(regime, poset, rng, count) if start is None else [alg.array(poset, start)]
         out.append((regime, alg, arrays))
     return out

@@ -47,7 +47,7 @@ from togglekit.birational import _depths, shear_stages
 from togglekit.dynamics import MAX_SCHEDULES, Lane, _schedule, iterate, walk_program, walks
 from togglekit.verify import suite_recombination
 from togglekit.posets import Poset, PosetError, rectangle_poset, triangle_poset
-from togglekit.rational import Rat
+from togglekit.rational import ONE, Rat
 
 # 0 < 1, 2, 3 < 4; and 0, 1 < 2, 0 < 3, 4, 0, 1 < 5, with 2, 3, 4, 5 < 6.
 WIDE = [
@@ -308,7 +308,7 @@ def walked(alg, f, chains):
         return ZeroDivisionError
     same = [[a == b for b in results] for a in results]
     lane = alg.sweep
-    entered = lane.enter(f.values, f.boundary) if isinstance(lane, Lane) else None
+    entered = None if lane is None else lane.enter(f.values, f.boundary)
     if entered is None:
         assert all(isinstance(r, PArray) for r in results)
     else:
@@ -421,6 +421,29 @@ def test_walks_share_leading_stages():
     assert results == walks(PL, f, program)
     assert results[2] == results[4] != results[3]
     assert results[5] == results[1] != results[2] == results[6]
+
+
+def test_a_declined_start_is_entered_once():
+    poset = rectangle_poset(3, 3)
+    calls = []
+
+    def enter(values, boundary):
+        calls.append(values)
+        return BIRATIONAL.sweep.enter(values, boundary)
+
+    lane = Lane(enter, BIRATIONAL.sweep.stage, BIRATIONAL.sweep.leave)
+    counting = ToggleAlgebra(
+        "birational", BIRATIONAL.lower_aggregate, BIRATIONAL.upper_aggregate,
+        BIRATIONAL.recombine, ONE, ONE, True, sweep=lane,
+    )
+    f = PArray(poset, [Rat(-(k + 1), 7) for k in range(poset.size)], (ONE, ONE))
+    chain = [(order, [1] * poset.size) for order in orders(poset)[:3]]
+    program = walk_program(poset, chain, chain[:1])
+    results = walks(counting, f, program)
+    # The lane declines f once; the three stages then run the reference loop.
+    assert calls == [f.values]
+    assert results == walks(reference(BIRATIONAL), f, program)
+    assert all(isinstance(r, PArray) for r in results)
 
 
 def test_walks_refuse_a_program_for_another_poset():

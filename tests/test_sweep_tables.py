@@ -63,7 +63,7 @@ def test_tabled_sweeps_equal_the_loop_cold_and_warm(poset):
             expected = [_sweep_loop(m, order, lows, ups) for m in masks]
             for ideals in passes + passes:
                 assert [step(i).mask for i in ideals] == expected
-            _, _, images = copy.sweep_table(order)
+            _, _, images = copy._sweep_tables[order]
             assert [masks[j] for j in images] == expected  # all recorded on the first pass
 
 
@@ -78,7 +78,7 @@ def test_patched_order_gets_its_own_table(monkeypatch):
     lows, ups = poset.lower_masks, poset.upper_masks
     assert after == [_sweep_loop(m, flipped, lows, ups) for m in masks]
     assert after != before
-    assert poset.sweep_table(flipped) is not poset.sweep_table(order)
+    assert poset._sweep_tables[flipped] is not poset._sweep_tables[order]
 
 
 def test_no_table_before_enumeration():
@@ -87,7 +87,6 @@ def test_no_table_before_enumeration():
     order = poset.rowmotion_order
     expected = _sweep_loop(ideal.mask, order, poset.lower_masks, poset.upper_masks)
     assert rowmotion_ideal(ideal).mask == expected
-    assert poset.sweep_table(order) is None
     assert poset._sweep_tables == {}
 
 
@@ -251,7 +250,7 @@ def test_filled_slots_hold_the_enumerated_ints(poset):
     for order, step in _steps(poset):
         for ideal in shared:
             step(ideal)
-        table_masks, table_index, images = poset.sweep_table(order)
+        table_masks, table_index, images = poset._sweep_tables[order]
         assert table_masks is masks and table_index is index
         assert all(j is index[masks[j]] for j in images)
 

@@ -163,6 +163,17 @@ def test_order_suite_covers_all_regimes_and_maps():
     assert len(combos) == 6
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)])
+def test_order_suite_fails_rowmotion_without_its_last_toggle(monkeypatch, shape):
+    order = Poset.__dict__["rowmotion_order"].func
+    monkeypatch.setattr(Poset, "rowmotion_order", property(lambda p: order(p)[:-1]))
+    report = suite_order(rectangle_poset(*shape), samples=5, seed=1)
+    failed = {(c["check"], c["regime"]) for c in report["checks"] if not c["pass"]}
+    name = f"rowmotion-power-{sum(shape)}-is-identity"
+    # The promotion checks still pass.
+    assert failed == {(name, regime) for regime in ("combinatorial", "pl", "birational")}
+
+
 def test_quotient_suite_is_birational_only():
     report = suite_quotient(WIDE, samples=10, seed=3)
     assert {c["regime"] for c in report["checks"]} == {"birational"}
