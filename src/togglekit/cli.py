@@ -225,7 +225,7 @@ def cmd_tableau(args):
         if args.json:
             sys.stdout.write(
                 dumps_canonical(
-                    {"poset": poset_to_json(f.poset), "array": array_to_json(f)}
+                    {"poset": poset_to_json(f.poset), "array": array_to_json(PL, f)}
                 )
             )
         else:

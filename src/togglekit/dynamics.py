@@ -11,14 +11,16 @@ max-plus shadow of the birational theory by construction.
 The poset is augmented with a virtual bottom below the minimal elements
 and a virtual top above the maximal ones; their values are the algebra's
 boundary pair, (0, 1) for piecewise-linear and (1, 1) for birational by
-default.
+default; pl_algebra(bottom, top) and birational_algebra(bottom, top)
+build any other.  The boundary belongs to the algebra alone: a PArray
+carries only values, and every toggle, walk and check reads alg.boundary.
 
 Sweeps (rowmotion, promotion, their inverses and file toggles) are
 walks: iterate(alg, f, order, times) reads entry x after times[x] sweeps
 of order.  pl_algebra and birational_algebra put an exact integer Lane
 in the algebra's sweep slot, in three parts: enter puts f's values and
-boundary into one int state (or declines), stage runs one walk's toggle
-loop in that state, and leave builds one rational per read entry,
+alg.boundary into one int state (or declines), stage runs one walk's
+toggle loop in that state, and leave builds one rational per read entry,
 keeping f's own values elsewhere.  iterate calls the lane itself:
 enter, one _schedule plan, one stage, leave.
 Several walks from one f go in two steps.  walk_program(poset, *chains)
@@ -131,11 +133,12 @@ class ToggleAlgebra:
     def fold_upper(self, values):
         return reduce(self.upper_aggregate, values)
 
-    def array(self, poset, values, boundary=None):
-        'Wrap values (anything Rat accepts) as a validated PArray.'
-        f = PArray(poset, values, self.boundary if boundary is None else boundary)
+    def array(self, poset, values):
+        """Wrap values (anything Rat accepts) as a validated PArray; in a positive
+        domain every value and both of the algebra's boundary values must be positive."""
+        f = PArray(poset, values)
         if self.positive_domain:
-            bad = next((v for v in f.values + f.boundary if v.numerator <= 0), None)
+            bad = next((v for v in f.values + self.boundary if v.numerator <= 0), None)
             if bad is not None:
                 raise ValueError(f"{self.name} arrays must be strictly positive, got {bad}")
         return f
@@ -189,9 +192,9 @@ def _schedule(poset, order, *times):
 class Lane(namedtuple("Lane", "enter stage leave")):
     """An exact integer lane, shared by iterate and walks.
 
-    enter(values, boundary) -> (ends, start state), or None to decline;
-    a state holds the values at slots 0..size-1 and the bottom and top
-    boundary values at slots size and size + 1, which no toggle writes.
+    enter(values, alg.boundary) -> (ends, start state), or None to
+    decline; a state holds the values at slots 0..size-1 and the bottom
+    and top boundary values at slots size and size + 1, which no toggle writes.
     stage(state, plan, count) -> the count states one _schedule plan of
     count times vectors reads, one per vector;
     leave(ends, values, start, state, reads) -> values with the entries
@@ -325,26 +328,24 @@ BIRATIONAL = birational_algebra()
 class PArray:
     """Rational values on the elements of a poset, in canonical index order.
 
-    boundary is the (bottom, top) pair used for the augmented elements.
-    Arrays are immutable and compare exactly.
+    The boundary is the walking algebra's, not the array's.  Arrays are
+    immutable and compare exactly.
     """
 
-    __slots__ = ("poset", "values", "boundary")
+    __slots__ = ("poset", "values")
 
-    def __init__(self, poset, values, boundary=(ZERO, ONE)):
+    def __init__(self, poset, values):
         # Values that are already Rat are kept as they are, not rebuilt.
         values = tuple(v if type(v) is Rat else Rat(v) for v in values)
         if len(values) != poset.size:
             raise ValueError(f"{len(values)} values for {poset.size} elements")
         self.poset = poset
         self.values = values
-        self.boundary = (Rat(boundary[0]), Rat(boundary[1]))
 
     def _replace(self, values):
         new = object.__new__(PArray)
         new.poset = self.poset
         new.values = tuple(values)
-        new.boundary = self.boundary
         return new
 
     def __getitem__(self, x):
@@ -365,7 +366,6 @@ class PArray:
             isinstance(other, PArray)
             and self.poset == other.poset
             and self.values == other.values
-            and self.boundary == other.boundary
         )
 
     def __hash__(self):
@@ -390,13 +390,13 @@ def toggle(alg, f, x):
     if not 0 <= x < poset.size:
         raise PosetError(f"element index {x} out of range")
     values = list(f.values)
-    values[x] = _toggled_value(alg, poset, values, f.boundary, x)
+    values[x] = _toggled_value(alg, poset, values, alg.boundary, x)
     return f._replace(values)
 
 
 def _walk(alg, f, order, times):
     'The reference walk of iterate: every toggle of every sweep through _toggled_value.'
-    poset, boundary = f.poset, f.boundary
+    poset, boundary = f.poset, alg.boundary
     values, out = list(f.values), list(f.values)
     for k in range(1, max(times, default=0) + 1):
         for x in order:
@@ -410,7 +410,7 @@ def _walk(alg, f, order, times):
 def iterate(alg, f, order, times):
     'Each entry x of f as it stands after times[x] sweeps of order; untouched x keep f(x).'
     lane = alg.sweep
-    entered = None if lane is None else lane.enter(f.values, f.boundary)
+    entered = None if lane is None else lane.enter(f.values, alg.boundary)
     if entered is None:
         return _walk(alg, f, order, times)
     ends, start = entered
@@ -478,7 +478,7 @@ def walks(alg, f, program):
     if f.poset != program.poset:
         raise PosetError("the walk program is for another poset")
     lane = alg.sweep
-    entered = None if lane is None else lane.enter(f.values, f.boundary)
+    entered = None if lane is None else lane.enter(f.values, alg.boundary)
     if entered is None:
         states = [f]
         for source, _, stages in program.steps:
@@ -537,13 +537,13 @@ def step_map(alg, map_name):
     return lambda f: stepper(alg, f)
 
 
-def vertex_from_ideal(ideal, boundary=(ZERO, ONE)):
+def vertex_from_ideal(ideal):
     'Indicator array of the complementary filter: 0 on the ideal, 1 off it.'
     poset = ideal.poset
     values = [ONE] * poset.size
     for x in ideal.indices:
         values[x] = ZERO
-    return PArray(poset, values, boundary)
+    return PArray(poset, values)
 
 
 def ideal_from_vertex(f):

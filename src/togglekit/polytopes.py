@@ -83,11 +83,6 @@ def cumulate_map(alg, f):
 
 def three_step(alg, f):
     'Transfer, cumulate, then complement: equals rowmotion under this algebra.'
-    if f.boundary != alg.boundary:
-        raise ValueError(
-            f"three-step factorization expects the {alg.name} boundary "
-            f"{alg.boundary}, got {f.boundary}"
-        )
     return complement_map(alg, cumulate_map(alg, transfer_map(alg, f)))
 
 

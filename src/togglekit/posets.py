@@ -384,6 +384,8 @@ class OrderIdeal:
         self.poset = poset
         self.mask = mask
         self.position = None
+        if validate and (mask < 0 or mask >> poset.size):
+            raise PosetError(f"mask {mask} has bits outside the poset's {poset.size} elements")
         if validate and not poset.is_ideal_mask(mask):
             raise PosetError(f"{sorted_indices(mask)} is not down-closed")
         return self

@@ -98,25 +98,24 @@ def ideal_to_json(ideal):
 
 
 def ideal_from_json(poset, obj):
-    mask = 0
-    for x in obj:
-        mask |= 1 << x
-    return OrderIdeal.from_mask(poset, mask)
+    return OrderIdeal(poset, obj)
 
 
-def array_to_json(f):
+def array_to_json(alg, f):
+    'The values of f and the boundary pair of alg, the algebra it is walked under.'
     return {
         "values": [format_rat(v) for v in f.values],
-        "boundary": [format_rat(f.boundary[0]), format_rat(f.boundary[1])],
+        "boundary": [format_rat(v) for v in alg.boundary],
     }
 
 
 def array_from_json(alg, poset, obj):
-    return alg.array(
-        poset,
-        [parse_rat(v) for v in obj["values"]],
-        boundary=tuple(parse_rat(v) for v in obj["boundary"]),
-    )
+    'The array of a file written under alg; a file with another boundary is refused.'
+    boundary = [parse_rat(v) for v in obj["boundary"]]
+    if boundary != list(alg.boundary):
+        got, want = (", ".join(map(format_rat, pair)) for pair in (boundary, alg.boundary))
+        raise ValueError(f"array boundary ({got}) is not the {alg.name} boundary ({want})")
+    return alg.array(poset, [parse_rat(v) for v in obj["values"]])
 
 
 def tableau_to_json(tableau):

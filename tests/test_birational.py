@@ -4,7 +4,9 @@ from helpers import bir_array, grid22, grid23, pl_array
 from togglekit import (
     BIRATIONAL,
     PL,
+    birational_algebra,
     file_toggle,
+    pl_algebra,
     promotion,
     quotient_sequence,
     recombine,
@@ -15,6 +17,7 @@ from togglekit import (
     three_step,
 )
 from togglekit.birational import file_toggle_swap_check, promotion_shift_check
+from togglekit.dynamics import iterate
 from togglekit.posets import PosetError, rectangle_poset, triangle_poset
 from togglekit.rational import ONE, Rat
 from togglekit.sampling import random_polytope_point, random_positive_array, seeded_rng
@@ -104,6 +107,25 @@ def test_reciprocity_birational():
             f = random_positive_array(BIRATIONAL, poset, rng)
             ok, violations = reciprocity_check(BIRATIONAL, f)
             assert ok, violations
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+@pytest.mark.parametrize(
+    "make, ends",
+    [(make, ends) for make in (birational_algebra, pl_algebra) for ends in ((2, 3), ("1/2", 7))],
+    ids=["birational-2-3", "birational-1/2-7", "pl-2-3", "pl-1/2-7"],
+)
+def test_rectangle_identities_hold_at_other_boundaries(make, ends, shape):
+    # Order a + b, antipodal reciprocity and recombination hold for any
+    # boundary constants (Grinberg and Roby).
+    alg, poset, order = make(*ends), rectangle_poset(*shape), sum(shape)
+    rng = seeded_rng(71)
+    for _ in range(5):
+        f = random_positive_array(alg, poset, rng)
+        for sweep in (poset.rowmotion_order, poset.promotion_order):
+            assert iterate(alg, f, sweep, [order] * poset.size) == f
+        assert reciprocity_check(alg, f) == (True, [])
+        assert recombine(alg, promotion(alg, f)) == rowmotion(alg, recombine(alg, f))
 
 
 def test_reciprocity_entry_by_hand():

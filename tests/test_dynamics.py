@@ -118,14 +118,25 @@ def test_arrays_keep_rationals_and_coerce_the_rest():
 def test_birational_arrays_refuse_what_is_not_positive(values, boundary, bad):
     message = f"birational arrays must be strictly positive, got {bad}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        BIRATIONAL.array(grid22(), values, boundary)
+        alg = BIRATIONAL if boundary is None else birational_algebra(*boundary)
+        alg.array(grid22(), values)
 
 
-def test_array_equality_includes_boundary():
+def test_the_boundary_belongs_to_the_algebra():
     poset = grid22()
-    f = PArray(poset, rats(0, 0, 0, 0), boundary=(Rat(0), Rat(1)))
-    g = PArray(poset, rats(0, 0, 0, 0), boundary=(Rat(0), Rat(2)))
-    assert f != g
+    values = rats(1, 2, 3, 4)
+    # A bare PArray walks with the boundary of the algebra that walks it.
+    assert rowmotion(BIRATIONAL, PArray(poset, values)) == rowmotion(
+        BIRATIONAL, BIRATIONAL.array(poset, values)
+    )
+    assert rowmotion(BIRATIONAL, PArray(poset, values)) == bir_array(poset, *BIR_ORBIT[1])
+    assert not hasattr(PArray(poset, values), "boundary")
+    with pytest.raises(TypeError):
+        PArray(poset, values, (0, 1))
+    with pytest.raises(TypeError):
+        PL.array(poset, values, (0, 1))
+    with pytest.raises(TypeError):
+        vertex_from_ideal(OrderIdeal(poset, []), (0, 1))
 
 
 def test_pl_rowmotion_matches_the_worked_example():

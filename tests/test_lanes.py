@@ -19,9 +19,14 @@ walks runs chains of walks in a lane's own ints and returns lane states;
 they must be the reference's arrays, entry for entry, and compare equal
 exactly when the reference's arrays do, also where stages over one order
 object continue one run and so share one walk.
+
+Last come negative controls: mutants of a lane's enter or stage, each of
+which the same comparison must reject on a fixed list of inputs.
 """
 
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -162,13 +167,19 @@ def test_birational_lane_matches_reference(data):
     assert_lane_matches_reference(alg, *with_times(data.draw, f))
 
 
+def unchecked(draw, poset):
+    """An algebra of either regime at a drawn boundary, and values for
+    poset that PArray(...) does not check: zeros and signs of every kind,
+    in the values and the boundary."""
+    make = draw(st.sampled_from([pl_algebra, birational_algebra]))
+    values = draw(st.lists(signed, min_size=poset.size, max_size=poset.size))
+    return make(*draw(st.tuples(signed, signed))), PArray(poset, values)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([PL, BIRATIONAL]), st.sampled_from(POSETS), st.data())
-def test_lanes_match_reference_on_unchecked_arrays(alg, poset, data):
-    'PArray(...) skips the positivity check: zeros and signs of every kind.'
-    values = data.draw(st.lists(signed, min_size=poset.size, max_size=poset.size))
-    boundary = data.draw(st.tuples(signed, signed))
-    f = PArray(poset, values, boundary)
+@given(st.sampled_from(POSETS), st.data())
+def test_lanes_match_reference_on_unchecked_arrays(poset, data):
+    alg, f = unchecked(data.draw, poset)
     assert_lane_matches_reference(alg, *with_times(data.draw, f))
 
 
@@ -180,7 +191,7 @@ def test_lanes_match_reference_on_unchecked_arrays(alg, poset, data):
     ],
 )
 def test_birational_lane_raises_where_the_reference_does(values):
-    f = PArray(rectangle_poset(2, 2), [Rat(v) for v in values], (Rat(1), Rat(1)))
+    f = PArray(rectangle_poset(2, 2), [Rat(v) for v in values])
     for alg in (BIRATIONAL, reference(BIRATIONAL)):
         with pytest.raises(ZeroDivisionError):
             file_toggle(alg, f, 2)
@@ -266,7 +277,7 @@ def test_birational_lane_raises_on_a_zero_whose_toggles_are_all_dead(shear):
         assert all(x != zero for toggles, _ in live for x, _, _, _, _, _, _ in toggles)
     values = [Rat(1)] * poset.size
     values[zero] = Rat(0)
-    f = PArray(poset, values, (Rat(1), Rat(1)))
+    f = PArray(poset, values)
     for alg in (BIRATIONAL, reference(BIRATIONAL)):
         with pytest.raises(ZeroDivisionError):
             shear(alg, f)
@@ -308,7 +319,7 @@ def walked(alg, f, chains):
         return ZeroDivisionError
     same = [[a == b for b in results] for a in results]
     lane = alg.sweep
-    entered = None if lane is None else lane.enter(f.values, f.boundary)
+    entered = None if lane is None else lane.enter(f.values, alg.boundary)
     if entered is None:
         assert all(isinstance(r, PArray) for r in results)
     else:
@@ -354,11 +365,10 @@ def test_birational_walks_match_reference(data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([PL, BIRATIONAL]), st.sampled_from(POSETS), st.data())
-def test_walks_match_reference_on_unchecked_arrays(alg, poset, data):
+@given(st.sampled_from(POSETS), st.data())
+def test_walks_match_reference_on_unchecked_arrays(poset, data):
     'A birational start that is not positive is declined, and raises where the reference does.'
-    values = data.draw(st.lists(signed, min_size=poset.size, max_size=poset.size))
-    f = PArray(poset, values, data.draw(st.tuples(signed, signed)))
+    alg, f = unchecked(data.draw, poset)
     assert_walks_match_reference(alg, f, chain_sets(data.draw, poset))
 
 
@@ -436,7 +446,7 @@ def test_a_declined_start_is_entered_once():
         "birational", BIRATIONAL.lower_aggregate, BIRATIONAL.upper_aggregate,
         BIRATIONAL.recombine, ONE, ONE, True, sweep=lane,
     )
-    f = PArray(poset, [Rat(-(k + 1), 7) for k in range(poset.size)], (ONE, ONE))
+    f = PArray(poset, [Rat(-(k + 1), 7) for k in range(poset.size)])
     chain = [(order, [1] * poset.size) for order in orders(poset)[:3]]
     program = walk_program(poset, chain, chain[:1])
     results = walks(counting, f, program)
@@ -495,9 +505,88 @@ def test_birational_shared_order_walks_match_reference(data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([PL, BIRATIONAL]), st.sampled_from(POSETS), st.data())
-def test_shared_order_walks_match_reference_on_unchecked_arrays(alg, poset, data):
+@given(st.sampled_from(POSETS), st.data())
+def test_shared_order_walks_match_reference_on_unchecked_arrays(poset, data):
     'A birational start that is not positive still comes back as PArrays.'
-    values = data.draw(st.lists(signed, min_size=poset.size, max_size=poset.size))
-    f = PArray(poset, values, data.draw(st.tuples(signed, signed)))
+    alg, f = unchecked(data.draw, poset)
     assert_walks_match_reference(alg, f, shared_chain_sets(data.draw, poset))
+
+
+# Negative controls: mutants of the lanes' parts, each installed in a copy
+# of a lane, that the lane-vs-reference comparison must reject on a fixed
+# list of inputs, without Hypothesis.
+CONTROL_POSETS = [rectangle_poset(2, 2), rectangle_poset(3, 3), *WIDE]
+CONTROL_ALGEBRAS = {
+    "pl": [PL, pl_algebra(Rat(-1, 2), Rat(5, 3))],
+    "birational": [BIRATIONAL, birational_algebra(Rat(2, 3), Rat(7, 2))],
+}
+
+
+def control_inputs(regime):
+    'Each algebra of the regime with rising and falling arrays on each control poset.'
+    for alg in CONTROL_ALGEBRAS[regime]:
+        for poset in CONTROL_POSETS:
+            rising = [Rat(k + 1, k + 2) for k in range(poset.size)]
+            for values in (rising, rising[::-1]):
+                yield alg, alg.array(poset, values), [1 + x % 3 for x in range(poset.size)]
+
+
+def matches_reference(alg, f, times):
+    try:
+        assert_lane_matches_reference(alg, f, times)
+    except AssertionError:
+        return False
+    return True
+
+
+def rewrite(old, new):
+    """A mutation that compiles a lane part again, with the first old in
+    its source replaced by new, over the globals of its own module."""
+
+    def mutate(part):
+        source = textwrap.dedent(inspect.getsource(part))
+        assert old in source
+        scope = {}
+        exec(source.replace(old, new, 1), part.__globals__, scope)
+        return scope[part.__name__]
+
+    return mutate
+
+
+def wrong_top(enter):
+    return lambda values, boundary: enter(values, (boundary[0], boundary[1] + 1))
+
+
+def swapped_boundary(enter):
+    return lambda values, boundary: enter(values, boundary[::-1])
+
+
+# Mutant name -> the regime, the lane part it patches and the mutation.
+MUTANTS = {
+    "pl-wrong-top-boundary": ("pl", "enter", wrong_top),
+    "bir-wrong-top-boundary": ("birational", "enter", wrong_top),
+    "max-in-place-of-lcm": ("pl", "enter", rewrite("lcm(", "max(")),
+    "dropped-factor": ("birational", "stage", rewrite("ln * d + n * ld", "ln * d + n")),
+    "min-in-place-of-max": ("pl", "stage", rewrite("ints[l1] > left", "ints[l1] < left")),
+    "pl-dropped-lower-rest-loop": ("pl", "stage", rewrite("in lows:", "in ():")),
+    "pl-dropped-upper-rest-loop": ("pl", "stage", rewrite("in ups:", "in ():")),
+    "bir-dropped-lower-rest-loop": ("birational", "stage", rewrite("in lows:", "in ():")),
+    "bir-dropped-upper-rest-loop": ("birational", "stage", rewrite("in ups:", "in ():")),
+    "pl-swapped-boundary-slots": ("pl", "enter", swapped_boundary),
+    "bir-swapped-boundary-slots": ("birational", "enter", swapped_boundary),
+}
+
+
+@pytest.mark.parametrize("regime", CONTROL_ALGEBRAS)
+def test_lanes_match_reference_on_the_control_inputs(regime):
+    assert all(matches_reference(*args) for args in control_inputs(regime))
+
+
+@pytest.mark.parametrize("regime, part, mutate", MUTANTS.values(), ids=MUTANTS.keys())
+def test_lane_comparison_rejects_each_mutant(regime, part, mutate):
+    rejected = 0
+    for alg, f, times in control_inputs(regime):
+        mutant = reference(alg)
+        mutant.sweep = alg.sweep._replace(**{part: mutate(getattr(alg.sweep, part))})
+        rejected += not matches_reference(mutant, f, times)
+    assert rejected

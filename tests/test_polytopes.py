@@ -1,11 +1,13 @@
 import pytest
 
-from helpers import bir_array, grid22, grid23, pl_array
+from helpers import grid22, grid23, pl_array
 from togglekit import (
     BIRATIONAL,
     PL,
+    birational_algebra,
     in_chain_polytope,
     in_order_polytope,
+    pl_algebra,
     pl_toggle,
     rowmotion,
     three_step,
@@ -179,11 +181,18 @@ def test_three_step_factor_composition_matches_the_orbit_step():
     assert staged == pl_array(poset, "3/5", "4/5", "7/10", "9/10")
 
 
-def test_three_step_boundary_guard():
-    poset = grid22()
-    f = bir_array(poset, 1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        three_step(PL, f)
+@pytest.mark.parametrize(
+    "alg",
+    [make(*ends) for make in (pl_algebra, birational_algebra) for ends in ((2, 3), ("1/2", 7))],
+    ids=["pl-2-3", "pl-1/2-7", "birational-2-3", "birational-1/2-7"],
+)
+def test_three_step_equals_rowmotion_at_other_boundaries(alg):
+    # Every factor reads the algebra's boundary, as rowmotion does.
+    rng = seeded_rng(37)
+    for poset in (grid23(), triangle_poset(3), FENCE):
+        for _ in range(5):
+            f = random_positive_array(alg, poset, rng)
+            assert three_step(alg, f) == rowmotion(alg, f)
 
 
 def test_pl_toggle_matches_generic_toggle():

@@ -157,6 +157,14 @@ def test_order_ideal_validation():
     assert OrderIdeal.from_mask(p, 0b0011) == ideal
 
 
+@pytest.mark.parametrize("mask", [1 << 4, 1 << 10, 0b0011 | 1 << 7, -1, -4])
+def test_masks_with_bits_outside_the_poset_are_refused(mask):
+    p = rectangle_poset(2, 2)
+    message = f"mask {mask} has bits outside the poset's 4 elements"
+    with pytest.raises(PosetError, match=f"^{message}$"):
+        OrderIdeal.from_mask(p, mask)
+
+
 def test_complement_filter():
     p = rectangle_poset(2, 2)
     assert set(complement_filter(OrderIdeal(p, [W, X]))) == {Y, Z}

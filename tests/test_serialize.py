@@ -1,11 +1,11 @@
 import json
+import re
 
 import pytest
 
 from helpers import bir_array, grid22, pl_array
-from togglekit import BIRATIONAL, PL, serialize
+from togglekit import BIRATIONAL, PL, pl_algebra, serialize
 from togglekit.posets import OrderIdeal, Poset, PosetError, rectangle_poset, triangle_poset
-from togglekit.rational import Rat
 from togglekit.serialize import (
     MAX_ENTRY,
     array_from_json,
@@ -46,22 +46,35 @@ def test_ideal_round_trip():
     assert ideal_from_json(poset, [1, 0]) == ideal
 
 
+@pytest.mark.parametrize("members", [[0, 7], [4], [-1], [0, -1]])
+def test_ideal_json_outside_the_poset_is_refused(members):
+    bad = next(x for x in members if not 0 <= x < 4)
+    with pytest.raises(PosetError, match=f"^element index {bad} out of range$"):
+        ideal_from_json(grid22(), members)
+
+
 def test_array_round_trip():
     poset = grid22()
     f = bir_array(poset, 1, 2, "5/12", "5/4")
-    obj = array_to_json(f)
-    assert obj["values"] == ["1", "2", "5/12", "5/4"]
+    obj = array_to_json(BIRATIONAL, f)
+    assert obj == {"values": ["1", "2", "5/12", "5/4"], "boundary": ["1", "1"]}
     assert array_from_json(BIRATIONAL, poset, json.loads(json.dumps(obj))) == f
     g = pl_array(poset, "1/10", "1/5", "3/10", "2/5")
-    assert array_from_json(PL, poset, array_to_json(g)) == g
+    assert array_to_json(PL, g)["boundary"] == ["0", "1"]
+    assert array_from_json(PL, poset, array_to_json(PL, g)) == g
 
 
-def test_array_json_keeps_the_boundary():
+def test_array_json_carries_the_algebras_boundary():
     poset = grid22()
-    f = PL.array(poset, [0, 0, 0, 0], boundary=(Rat(0), Rat(2)))
-    obj = array_to_json(f)
+    wide = pl_algebra(0, 2)
+    f = wide.array(poset, [0, 0, 0, 0])
+    obj = array_to_json(wide, f)
     assert obj["boundary"] == ["0", "2"]
-    assert array_from_json(PL, poset, obj) == f
+    assert array_from_json(wide, poset, obj) == f
+    # A file written under another boundary is refused, not walked under PL's.
+    message = "array boundary (0, 2) is not the pl boundary (0, 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        array_from_json(PL, poset, obj)
 
 
 def test_tableau_round_trip():
