@@ -4,19 +4,17 @@ Order ideals are int bitmasks over element indices, and the toggle at x
 flips bit x exactly when every lower cover of x is present and no upper
 cover is.  Python ints put no limit on poset size.
 
-A sweep can be answered from a table over J(P), the set of order ideals:
-a triple (masks, index, images), where masks is J(P) sorted ascending,
-index is a dict from each mask to its position in masks, and images[k]
-is the position of the image of masks[k] under one toggle order, or
-None until masks[k] has been swept.  sweep() reads the slot at the
-position it is given, or finds it with one index lookup, and fills it
-with the index's own int for the image, so a filled table holds no ints
-of its own.  masks and index are shared by every table of one poset; a
-table is valid only for the toggle order and the lower/upper cover
-masks it was built for, and posets._sweep keys one per order by the
-order's contents.  The plain loop, _sweep_loop, is the oracle:
-it runs on every miss, on masks that are not in the table, and whenever
-no table is given.
+A sweep of a member of J(P), the set of order ideals, can be answered
+from a table over J(P): a triple (masks, index, images), where masks is
+J(P) sorted ascending, index is a dict from each mask to its position in
+masks, and images[k] is the position of the image of masks[k] under one
+toggle order, or None until masks[k] has been swept.  Given a table and
+the mask's position, sweep() returns the image's position, read from the
+slot or swept once and filled in with the index's own int.  A table is
+valid only for the toggle order and the cover masks it was built for
+(posets._sweep keys one per order by the order's contents).  The plain
+loop, _sweep_loop, is the oracle: it fills every slot and answers every
+sweep given no table.
 """
 
 
@@ -51,26 +49,19 @@ def toggle(mask, low, up, bit):
 
 
 def sweep(mask, order, lower_masks, upper_masks, table=None, position=None):
-    """Apply toggles at the given element indices, in order.
+    """Apply toggles at the given element indices, in order: the image mask.
 
-    With a table for this order (see the module docstring), a mask in
-    the table is swept once and its image read back after that.
-    position, when given, must be the mask's position in the table.
+    With a table for this order (see the module docstring), position
+    must be the mask's position in it, and the result is the image's
+    position instead, read back after the mask's first sweep.
     """
-    if table is not None:
-        masks, index, images = table
-        if position is None:
-            position = index.get(mask)
-        if position is not None:
-            j = images[position]
-            if j is None:
-                image = _sweep_loop(mask, order, lower_masks, upper_masks)
-                j = index.get(image)
-                if j is None:
-                    return image
-                images[position] = j
-            return masks[j]
-    return _sweep_loop(mask, order, lower_masks, upper_masks)
+    if table is None:
+        return _sweep_loop(mask, order, lower_masks, upper_masks)
+    images = table[2]
+    j = images[position]
+    if j is None:
+        j = images[position] = table[1][_sweep_loop(mask, order, lower_masks, upper_masks)]
+    return j
 
 
 def _sweep_loop(mask, order, lower_masks, upper_masks):

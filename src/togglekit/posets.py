@@ -16,26 +16,27 @@ J(P) and one shared OrderIdeal per mask; enumerate_ideals and
 sampling.random_ideal hand out those shared ideals.
 
 Sweep tables.  Once J(P) has been enumerated for a poset, every ideal
-sweep (rowmotion_ideal, promotion_ideal, file_toggle_ideal) makes one
-pybitops.sweep call with a table of that toggle order over J(P): the
-shared mask list and position index, and the position of each
-position's image, recorded the first time that ideal is swept.  A
-shared ideal carries its position, so a step reads its image's position
-from the table and returns the shared ideal there: no dict lookup and
-no new OrderIdeal.  Other ideals have position None and are looked up
-by mask.  Tables are keyed by the contents of the order tuple, never by
-the name of a map, so a changed order gets a table of its own.  A table
-is valid only for the poset's own cover masks.  The kernel's plain
-toggle loop is the oracle: it answers misses, masks outside J(P), and
+sweep (rowmotion_ideal, promotion_ideal, file_toggle_ideal) of a member
+of J(P) makes one pybitops.sweep call with its position and a table of
+that toggle order over J(P): the shared mask list and position index,
+and the position of each position's image, recorded the first time
+that ideal is swept.  The kernel returns the image's position, and the
+step the shared ideal there: no dict lookup and no new OrderIdeal.  A
+shared ideal carries its position; another is looked up by mask first.
+Tables are keyed by the contents of the order tuple, never by the name
+of a map, so a changed order gets a table of its own.  A table is valid
+only for the poset's own cover masks.  The kernel's plain toggle loop
+is the oracle: it fills every slot, and answers masks outside J(P) and
 every sweep of a poset whose J(P) was never enumerated, which builds no
-table; those steps return a new OrderIdeal.
+table; those steps return a new OrderIdeal, and so does toggle_ideal
+for an image outside an enumerated J(P).
 
-A warm step is two frames: when the poset's last table belongs to the
-very order tuple the map holds, rowmotion_ideal and promotion_ideal
-call the kernel themselves, with that table and the cover masks kept
-beside it, and read the shared image by position.  Every other step,
-file toggles included, goes through _sweep, which finds the table by
-the order's contents.
+A warm step is two frames: when the ideal is shared and the poset's
+last table belongs to the very order tuple the map holds,
+rowmotion_ideal and promotion_ideal call the kernel themselves, with
+that table and the cover masks kept beside it.  Every other step, file
+toggles included, goes through _sweep, which finds the table by the
+order's contents.
 
 Enumeration is refused, with a PosetError, when J(P) would hold more
 than MAX_IDEALS order ideals: rectangles are checked against the exact
@@ -130,7 +131,7 @@ class Poset:
         self._schedules = {}  # (order, times) -> dynamics._schedule's plan
         # The last (order, table) served, with the lower and upper cover
         # masks it is valid for: a warm ideal step reads every kernel
-        # argument but the mask from this one tuple.
+        # argument but the ideal's mask and position from this one tuple.
         self._last_table = (None, None, None, None)
 
     def _check_irredundant(self):
@@ -272,6 +273,9 @@ class Poset:
         return x == y or bool(self.strict_down_masks[y] & (1 << x))
 
     def is_ideal_mask(self, mask):
+        "True when mask is a down-closed set of this poset's elements."
+        if mask < 0 or mask >> self.size:
+            return False
         return all(
             mask & self.lower_masks[i] == self.lower_masks[i]
             for i in range(self.size)
@@ -445,12 +449,8 @@ def toggle_ideal(ideal, x):
     if not 0 <= x < poset.size:
         raise PosetError(f"element index {x} out of range")
     mask = pybitops.toggle(ideal.mask, poset.lower_masks[x], poset.upper_masks[x], 1 << x)
-    return OrderIdeal.from_mask(poset, mask, validate=False)
-
-
-def _image(poset, table, mask):
-    'The shared ideal of a swept mask that lies in J(P), else a new ideal.'
-    j = None if table is None else table[1].get(mask)
+    index = poset._ideal_index
+    j = None if index is None else index.get(mask)
     if j is None:
         return OrderIdeal.from_mask(poset, mask, validate=False)
     return poset._ideals[j]
@@ -460,23 +460,24 @@ def _sweep(ideal, order):
     """One kernel sweep; an image in J(P) comes back as its shared ideal.
 
     Once J(P) is enumerated, the order's (masks, index, images) table is
-    made on first use and kept as the poset's last table; before, there
-    is none.  images[k] is the position of the image of masks[k], or None
-    until it is swept.
+    made on first use and kept as the poset's last table, and an ideal in
+    J(P) is swept by its position; before, and for masks outside J(P),
+    the kernel runs its loop with no table and the image is a new ideal.
     """
     poset = ideal.poset
-    masks, table = poset._ideal_masks, None
-    if masks is not None:
+    lows, ups = poset.lower_masks, poset.upper_masks
+    k = ideal.position
+    if poset._ideal_masks is not None:
         table = poset._sweep_tables.get(order)
         if table is None:
+            masks = poset._ideal_masks
             table = poset._sweep_tables[order] = (masks, poset._ideal_index, [None] * len(masks))
-        poset._last_table = (order, table, poset.lower_masks, poset.upper_masks)
-    k = ideal.position
-    mask = pybitops.sweep(ideal.mask, order, poset.lower_masks, poset.upper_masks, table, k)
-    if k is None:
-        return _image(poset, table, mask)
-    # Toggles keep an ideal an ideal, so the kernel has filled slot k.
-    return poset._ideals[table[2][k]]
+        poset._last_table = (order, table, lows, ups)
+        if k is None:
+            k = poset._ideal_index.get(ideal.mask)
+        if k is not None:
+            return poset._ideals[pybitops.sweep(ideal.mask, order, lows, ups, table, k)]
+    return OrderIdeal.from_mask(poset, pybitops.sweep(ideal.mask, order, lows, ups), validate=False)
 
 
 def rowmotion_ideal(ideal):
@@ -484,13 +485,10 @@ def rowmotion_ideal(ideal):
     poset = ideal.poset
     order = poset.rowmotion_order
     last_order, table, lows, ups = poset._last_table
-    if order is not last_order:
-        return _sweep(ideal, order)
     k = ideal.position
-    mask = pybitops.sweep(ideal.mask, order, lows, ups, table, k)
-    if k is None:
-        return _image(poset, table, mask)
-    return poset._ideals[table[2][k]]
+    if order is not last_order or k is None:
+        return _sweep(ideal, order)
+    return poset._ideals[pybitops.sweep(ideal.mask, order, lows, ups, table, k)]
 
 
 def promotion_ideal(ideal):
@@ -498,13 +496,10 @@ def promotion_ideal(ideal):
     poset = ideal.poset
     order = poset.promotion_order
     last_order, table, lows, ups = poset._last_table
-    if order is not last_order:
-        return _sweep(ideal, order)
     k = ideal.position
-    mask = pybitops.sweep(ideal.mask, order, lows, ups, table, k)
-    if k is None:
-        return _image(poset, table, mask)
-    return poset._ideals[table[2][k]]
+    if order is not last_order or k is None:
+        return _sweep(ideal, order)
+    return poset._ideals[pybitops.sweep(ideal.mask, order, lows, ups, table, k)]
 
 
 def file_toggle_ideal(ideal, index):

@@ -163,6 +163,8 @@ def test_masks_with_bits_outside_the_poset_are_refused(mask):
     message = f"mask {mask} has bits outside the poset's 4 elements"
     with pytest.raises(PosetError, match=f"^{message}$"):
         OrderIdeal.from_mask(p, mask)
+    assert not p.is_ideal_mask(mask)
+    assert p.is_ideal_mask(0b1111)  # the whole poset: the top in-range mask
 
 
 def test_complement_filter():

@@ -22,6 +22,7 @@ from togglekit.posets import (
     promotion_ideal,
     rectangle_poset,
     rowmotion_ideal,
+    toggle_ideal,
     triangle_poset,
 )
 from togglekit.sampling import random_ideal, seeded_rng
@@ -65,6 +66,24 @@ def test_tabled_sweeps_equal_the_loop_cold_and_warm(poset):
                 assert [step(i).mask for i in ideals] == expected
             _, _, images = copy._sweep_tables[order]
             assert [masks[j] for j in images] == expected  # all recorded on the first pass
+
+
+@pytest.mark.parametrize("poset", _posets(), ids=repr)
+def test_kernel_reads_each_image_position_by_position(poset):
+    """Given a table and a position, the kernel returns the position of
+    the loop's image: cold, when it fills the slot, and warm, when it
+    reads the slot back.
+    """
+    masks = enumerate_ideal_masks(poset)
+    index = poset._ideal_index
+    lows, ups = poset.lower_masks, poset.upper_masks
+    for order, _ in _steps(poset):
+        table = (masks, index, [None] * len(masks))
+        expected = [_sweep_loop(m, order, lows, ups) for m in masks]
+        for _ in ("cold", "warm"):
+            read = [pybitops.sweep(m, order, lows, ups, table, k) for k, m in enumerate(masks)]
+            assert [masks[j] for j in read] == expected
+        assert table[2] == read
 
 
 def test_patched_order_gets_its_own_table(monkeypatch):
@@ -160,6 +179,21 @@ def test_interleaved_maps_switch_tables_every_step(monkeypatch):
                 assert image is shared[masks.index(image.mask)]
                 assert poset._last_table[0] is order is not last
                 last = order
+
+
+@pytest.mark.parametrize("poset", _posets(), ids=repr)
+def test_toggle_ideal_returns_the_shared_ideal_once_enumerated(poset):
+    assert toggle_ideal(OrderIdeal.from_mask(poset, 0), 0).position is None
+    shared = enumerate_ideals(poset)
+    masks = enumerate_ideal_masks(poset)
+    assert toggle_ideal(shared[0], 0) is shared[1]  # {0} follows the empty ideal
+    for ideal in shared + [OrderIdeal.from_mask(poset, m) for m in masks]:
+        for x in range(poset.size):
+            image = toggle_ideal(ideal, x)
+            assert image is shared[masks.index(image.mask)]
+    top = OrderIdeal.from_mask(poset, 1 << (poset.size - 1), validate=False)
+    if poset.size > 1:  # not in J(P), and neither is its toggle at 0
+        assert toggle_ideal(top, 0).position is None
 
 
 def test_warm_steps_build_no_ideal(monkeypatch):
@@ -308,3 +342,26 @@ def test_order_suite_switches_tables_once_per_map(monkeypatch):
     poset = rectangle_poset(3, 3)
     assert SUITES["order"](poset, samples=2, seed=1)["pass"]
     assert orders == [poset.rowmotion_order, poset.promotion_order]
+
+
+def test_order_suite_fails_on_a_corrupt_warm_slot():
+    """A filled rowmotion slot sent out of its orbit fails the power check.
+
+    The first suite call fills the table; in the second every rowmotion
+    step but the first reads it warm.  The empty ideal's image now lies
+    in another orbit, so the empty ideal never comes back.
+    """
+    poset = rectangle_poset(3, 3)
+    assert SUITES["order"](poset, samples=2, seed=1)["pass"]
+    images = poset._sweep_tables[poset.rowmotion_order][2]
+    orbit, k = set(), 0
+    while k not in orbit:
+        orbit.add(k)
+        k = images[k]
+    images[0] = min(set(range(len(images))) - orbit)
+    report = SUITES["order"](poset, samples=2, seed=1)
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [(c["check"], c["regime"]) for c in failed] == [
+        ("rowmotion-power-6-is-identity", "combinatorial")
+    ]
+    assert failed[0]["violations"][0] == {"start": []}
