@@ -14,6 +14,7 @@ from .orbits import OrbitError, orbit
 from .posets import OrderIdeal, PosetError, rectangle_poset
 from .rational import format_rat, parse_rat
 from .serialize import (
+    MAX_POSET_SIZE,
     array_to_json,
     dumps_canonical,
     pattern_to_json,
@@ -45,7 +46,12 @@ def _resolve_poset(args, required=True):
     if args.shape and args.poset:
         raise ValueError("pass --shape or --poset, not both")
     if args.shape:
-        return rectangle_poset(*_parse_shape(args.shape))
+        a, b = _parse_shape(args.shape)
+        if a * b > MAX_POSET_SIZE:
+            raise ValueError(
+                f"shape {a}x{b}: poset size {a * b} is above the limit of {MAX_POSET_SIZE}"
+            )
+        return rectangle_poset(a, b)
     if args.poset:
         with open(args.poset) as handle:
             return poset_from_json(json.load(handle))
@@ -82,7 +88,17 @@ def _element_index(poset, token):
 def _parse_start(poset, regime, text):
     if regime == "combinatorial":
         tokens = [t.strip() for t in text.split(",") if t.strip()]
-        return OrderIdeal(poset, [_element_index(poset, t) for t in tokens])
+        members = {_element_index(poset, t) for t in tokens}
+        for x in sorted(members):
+            missing = [lo for lo in poset.lower_covers[x] if lo not in members]
+            if missing:
+                labels = _display_labels(poset)
+                shown = "{" + ",".join(labels[i] for i in sorted(members)) + "}"
+                raise ValueError(
+                    f"start {shown} is not down-closed: it holds {labels[x]} "
+                    f"but not {labels[missing[0]]}, which {labels[x]} covers"
+                )
+        return OrderIdeal(poset, members)
     values = [parse_rat(t) for t in text.split(",")]
     if len(values) != poset.size:
         raise ValueError(f"{len(values)} values for {poset.size} elements")

@@ -5,17 +5,20 @@ flips bit x exactly when every lower cover of x is present and no upper
 cover is.  Python ints put no limit on poset size.
 
 A sweep of a member of J(P), the set of order ideals, can be answered
-from a table over J(P): a triple (masks, index, images), where masks is
-J(P) sorted ascending, index is a dict from each mask to its position in
-masks, and images[k] is the position of the image of masks[k] under one
-toggle order, or None until masks[k] has been swept.  Given a table and
-the mask's position, sweep() returns the image's position, read from the
-slot or swept once and filled in with the index's own int.  A table is
-valid only for the toggle order and the cover masks it was built for
-(posets._sweep keys one per order by the order's contents).  The plain
-loop, _sweep_loop, is the oracle: it fills every slot and answers every
-sweep given no table.
+from a table over J(P): a triple (masks, values, images), where masks is
+J(P) sorted ascending, values[k] is what stands for masks[k] (posets
+keeps its shared OrderIdeal there), and images[k] is the value of the
+image of masks[k] under one toggle order, or None until masks[k] has
+been swept.  Given a table and the mask's position, sweep() returns the
+slot: read back, or swept once and filled with values' entry at the
+image's position, found by bisection of masks.  A table is valid only
+for the toggle order and the cover masks it was built for (posets._sweep
+keys one per order by the order's contents).  The plain loop,
+_sweep_loop, is the oracle: it fills every slot and answers every sweep
+given no table.
 """
+
+from bisect import bisect_left
 
 
 def enumerate_ideals(size, lower_masks, limit=None):
@@ -53,15 +56,17 @@ def sweep(mask, order, lower_masks, upper_masks, table=None, position=None):
 
     With a table for this order (see the module docstring), position
     must be the mask's position in it, and the result is the image's
-    position instead, read back after the mask's first sweep.
+    slot instead: table[1]'s entry at the image's position, read back
+    after the mask's first sweep.
     """
     if table is None:
         return _sweep_loop(mask, order, lower_masks, upper_masks)
     images = table[2]
-    j = images[position]
-    if j is None:
-        j = images[position] = table[1][_sweep_loop(mask, order, lower_masks, upper_masks)]
-    return j
+    image = images[position]
+    if image is None:
+        j = bisect_left(table[0], _sweep_loop(mask, order, lower_masks, upper_masks))
+        image = images[position] = table[1][j]
+    return image
 
 
 def _sweep_loop(mask, order, lower_masks, upper_masks):

@@ -11,38 +11,41 @@ on first use and kept.  rectangle_shape is (a, b) exactly when the poset
 equals rectangle_poset(a, b), labels and rc included.  J(P) is
 enumerated once per poset, in ascending order, and that one list is
 shared by every caller, the sweep tables included.  The same
-enumeration builds, once, a dict from each mask to its position in
-J(P) and one shared OrderIdeal per mask; enumerate_ideals and
-sampling.random_ideal hand out those shared ideals.
+enumeration builds one shared OrderIdeal per mask, which carries its
+position in J(P); enumerate_ideals and sampling.random_ideal hand out
+those shared ideals.  J(P) has no other index: the position of any
+other mask is found by bisection of the ascending list.
 
 Sweep tables.  Once J(P) has been enumerated for a poset, every ideal
 sweep (rowmotion_ideal, promotion_ideal, file_toggle_ideal) of a member
 of J(P) makes one pybitops.sweep call with its position and a table of
-that toggle order over J(P): the shared mask list and position index,
-and the position of each position's image, recorded the first time
-that ideal is swept.  The kernel returns the image's position, and the
-step the shared ideal there: no dict lookup and no new OrderIdeal.  A
-shared ideal carries its position; another is looked up by mask first.
-Tables are keyed by the contents of the order tuple, never by the name
-of a map, so a changed order gets a table of its own.  A table is valid
-only for the poset's own cover masks.  The kernel's plain toggle loop
-is the oracle: it fills every slot, and answers masks outside J(P) and
-every sweep of a poset whose J(P) was never enumerated, which builds no
-table; those steps return a new OrderIdeal, and so does toggle_ideal
-for an image outside an enumerated J(P).
+that toggle order over J(P): the shared mask list, the shared ideals,
+and at each position the shared ideal of that position's image,
+recorded the first time that ideal is swept.  The kernel returns that
+image ideal, and the step returns it as it is: no lookup and no new
+OrderIdeal.  A shared ideal carries its position; the position of
+another is found by bisection first.  Tables are keyed by the contents
+of the order tuple, never by the name of a map, so a changed order gets
+a table of its own.  A table is valid only for the poset's own cover
+masks.  The kernel's plain toggle loop is the oracle: it fills every
+slot, and answers masks outside J(P) and every sweep of a poset whose
+J(P) was never enumerated, which builds no table; those steps return a
+new OrderIdeal, and so does toggle_ideal for an image outside an
+enumerated J(P).
 
 A warm step is two frames: when the ideal is shared and the poset's
 last table belongs to the very order tuple the map holds,
 rowmotion_ideal and promotion_ideal call the kernel themselves, with
-that table and the cover masks kept beside it.  Every other step, file
-toggles included, goes through _sweep, which finds the table by the
-order's contents.
+that table and the cover masks kept beside it, and return what it
+returns.  Every other step, file toggles included, goes through _sweep,
+which finds the table by the order's contents.
 
 Enumeration is refused, with a PosetError, when J(P) would hold more
 than MAX_IDEALS order ideals: rectangles are checked against the exact
 binomial before enumerating, other posets by a running count.
 """
 
+from bisect import bisect_left
 from functools import cached_property, reduce
 from math import comb
 
@@ -125,9 +128,8 @@ class Poset:
         self.rc = rc
         self._check_irredundant()
         self._ideal_masks = None  # J(P), ascending, once enumerated
-        self._ideal_index = None  # mask -> its position in _ideal_masks
         self._ideals = None  # one shared OrderIdeal per mask of _ideal_masks
-        self._sweep_tables = {}  # toggle order tuple -> (masks, index, images)
+        self._sweep_tables = {}  # toggle order tuple -> (masks, ideals, images)
         self._schedules = {}  # (order, times) -> dynamics._schedule's plan
         # The last (order, table) served, with the lower and upper cover
         # masks it is valid for: a warm ideal step reads every kernel
@@ -449,34 +451,45 @@ def toggle_ideal(ideal, x):
     if not 0 <= x < poset.size:
         raise PosetError(f"element index {x} out of range")
     mask = pybitops.toggle(ideal.mask, poset.lower_masks[x], poset.upper_masks[x], 1 << x)
-    index = poset._ideal_index
-    j = None if index is None else index.get(mask)
-    if j is None:
+    k = _position(poset, mask)
+    if k is None:
         return OrderIdeal.from_mask(poset, mask, validate=False)
-    return poset._ideals[j]
+    return poset._ideals[k]
+
+
+def _position(poset, mask):
+    'Position of mask in J(P), by bisection; None outside J(P) or before enumeration.'
+    masks = poset._ideal_masks
+    if masks is None:
+        return None
+    k = bisect_left(masks, mask)
+    if k < len(masks) and masks[k] == mask:
+        return k
+    return None
 
 
 def _sweep(ideal, order):
     """One kernel sweep; an image in J(P) comes back as its shared ideal.
 
-    Once J(P) is enumerated, the order's (masks, index, images) table is
-    made on first use and kept as the poset's last table, and an ideal in
-    J(P) is swept by its position; before, and for masks outside J(P),
-    the kernel runs its loop with no table and the image is a new ideal.
+    Once J(P) is enumerated, the order's (masks, ideals, images) table
+    is made on first use and kept as the poset's last table, and an
+    ideal in J(P) is swept by its position; before, and for masks
+    outside J(P), the kernel runs its loop with no table and the image
+    is a new ideal.
     """
     poset = ideal.poset
     lows, ups = poset.lower_masks, poset.upper_masks
-    k = ideal.position
-    if poset._ideal_masks is not None:
+    masks = poset._ideal_masks
+    if masks is not None:
         table = poset._sweep_tables.get(order)
         if table is None:
-            masks = poset._ideal_masks
-            table = poset._sweep_tables[order] = (masks, poset._ideal_index, [None] * len(masks))
+            table = poset._sweep_tables[order] = (masks, poset._ideals, [None] * len(masks))
         poset._last_table = (order, table, lows, ups)
+        k = ideal.position
         if k is None:
-            k = poset._ideal_index.get(ideal.mask)
+            k = _position(poset, ideal.mask)
         if k is not None:
-            return poset._ideals[pybitops.sweep(ideal.mask, order, lows, ups, table, k)]
+            return pybitops.sweep(ideal.mask, order, lows, ups, table, k)
     return OrderIdeal.from_mask(poset, pybitops.sweep(ideal.mask, order, lows, ups), validate=False)
 
 
@@ -488,7 +501,7 @@ def rowmotion_ideal(ideal):
     k = ideal.position
     if order is not last_order or k is None:
         return _sweep(ideal, order)
-    return poset._ideals[pybitops.sweep(ideal.mask, order, lows, ups, table, k)]
+    return pybitops.sweep(ideal.mask, order, lows, ups, table, k)
 
 
 def promotion_ideal(ideal):
@@ -499,7 +512,7 @@ def promotion_ideal(ideal):
     k = ideal.position
     if order is not last_order or k is None:
         return _sweep(ideal, order)
-    return poset._ideals[pybitops.sweep(ideal.mask, order, lows, ups, table, k)]
+    return pybitops.sweep(ideal.mask, order, lows, ups, table, k)
 
 
 def file_toggle_ideal(ideal, index):
@@ -550,8 +563,8 @@ def enumerate_ideal_masks(poset):
 
     J(P) is enumerated once per poset; every later call returns the same
     list, which the sweep tables share, so callers must not change it.
-    The first call also keeps, on the poset, a dict from each mask to its
-    position and one shared OrderIdeal per mask, holding that position.
+    The first call also keeps, on the poset, one shared OrderIdeal per
+    mask, holding its position.
     Those ideals refer back to the poset, so a poset dropped after
     enumeration is freed by the cycle collector rather than at once.
     Raises PosetError when J(P) has more than MAX_IDEALS members.
@@ -571,10 +584,9 @@ def enumerate_ideal_masks(poset):
         raise PosetError(
             f"poset of size {poset.size} has more than {MAX_IDEALS} order ideals"
         )
-    poset._ideal_index = index = {m: k for k, m in enumerate(masks)}
-    poset._ideals = [OrderIdeal.from_mask(poset, m, validate=False) for m in masks]
-    for ideal, k in zip(poset._ideals, index.values()):
-        ideal.position = k  # the index's own int, as in the tables
+    poset._ideals = ideals = [OrderIdeal.from_mask(poset, m, validate=False) for m in masks]
+    for k, ideal in enumerate(ideals):
+        ideal.position = k
     poset._ideal_masks = masks
     return masks
 

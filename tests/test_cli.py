@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from togglekit import cli
 from togglekit.cli import main
 from togglekit.posets import rectangle_poset, triangle_poset
 from togglekit.verify import SUITES
@@ -131,11 +132,19 @@ def test_huge_exponents_are_not_rationals(capsys, argv):
 
 
 def test_orbit_rejects_non_ideal_start(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "orbit", "--regime", "combinatorial", "--shape", "2x2", "--start", "x",
-    )
-    assert code == 2
+    'The refusal names the start and its missing lower cover by their display labels.'
+    for shape, start, message in [
+        ("2x2", "x", "start {x} is not down-closed: it holds x but not w, which x covers"),
+        ("2x2", "1.2", "start {y} is not down-closed: it holds y but not w, which y covers"),
+        ("2x3", "2.2,1.1", "start {1.1,2.2} is not down-closed: it holds 2.2 but not 2.1, "
+         "which 2.2 covers"),
+    ]:
+        code, out, err = run_cli(
+            capsys,
+            "orbit", "--regime", "combinatorial", "--shape", shape, "--start", start,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_orbit_needs_a_poset(capsys):
@@ -335,6 +344,36 @@ def test_verify_order_refuses_too_many_ideals(capsys):
     assert code == 2
     assert out == ""
     assert "155117520 order ideals" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbit", "--regime", "pl", "--shape", "1x20001", "--start", "1"),
+        ("orbit", "--regime", "pl", "--shape", "100000x100000", "--start", "1"),
+        ("verify", "order", "--shape", "1x20001", "--samples", "1"),
+        ("verify", "order", "--shape", "100x100000", "--samples", "1"),
+    ],
+)
+def test_shape_above_the_size_limit_exits_2_before_building(monkeypatch, capsys, argv):
+    def refuse(a, b):
+        raise AssertionError(f"rectangle_poset({a}, {b}) was called")
+
+    monkeypatch.setattr(cli, "rectangle_poset", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    shape = argv[argv.index("--shape") + 1]
+    a, b = map(int, shape.split("x"))
+    assert err == f"error: shape {shape}: poset size {a * b} is above the limit of 20000\n"
+
+
+def test_shape_at_the_size_limit_is_built(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "orbit", "--regime", "combinatorial", "--shape", "1x20000", "--start", "", "--cap", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: no return to start within cap=1 steps\n"
 
 
 def test_poset_file_above_the_size_limit_exits_2(tmp_path, capsys):

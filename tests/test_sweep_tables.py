@@ -65,24 +65,24 @@ def test_tabled_sweeps_equal_the_loop_cold_and_warm(poset):
             for ideals in passes + passes:
                 assert [step(i).mask for i in ideals] == expected
             _, _, images = copy._sweep_tables[order]
-            assert [masks[j] for j in images] == expected  # all recorded on the first pass
+            assert [image.mask for image in images] == expected  # all recorded on the first pass
 
 
 @pytest.mark.parametrize("poset", _posets(), ids=repr)
 def test_kernel_reads_each_image_position_by_position(poset):
-    """Given a table and a position, the kernel returns the position of
-    the loop's image: cold, when it fills the slot, and warm, when it
-    reads the slot back.
+    """Given a table and a position, the kernel returns the table's value
+    at the position of the loop's image, by identity: cold, when it fills
+    the slot, and warm, when it reads the slot back.
     """
     masks = enumerate_ideal_masks(poset)
-    index = poset._ideal_index
     lows, ups = poset.lower_masks, poset.upper_masks
     for order, _ in _steps(poset):
-        table = (masks, index, [None] * len(masks))
+        values = [("value", m) for m in masks]
+        table = (masks, values, [None] * len(masks))
         expected = [_sweep_loop(m, order, lows, ups) for m in masks]
         for _ in ("cold", "warm"):
             read = [pybitops.sweep(m, order, lows, ups, table, k) for k, m in enumerate(masks)]
-            assert [masks[j] for j in read] == expected
+            assert all(r is values[masks.index(m)] for r, m in zip(read, expected))
         assert table[2] == read
 
 
@@ -196,6 +196,57 @@ def test_toggle_ideal_returns_the_shared_ideal_once_enumerated(poset):
         assert toggle_ideal(top, 0).position is None
 
 
+@pytest.mark.parametrize("poset", _posets(), ids=repr)
+def test_positions_are_found_by_bisection_at_every_edge(poset):
+    """Every member of J(P) is found at its position; a mask below the
+    first member, between two members or above the last is not."""
+    masks = enumerate_ideal_masks(poset)
+    assert [posets._position(poset, m) for m in masks] == list(range(len(masks)))
+    full = (1 << poset.size) - 1
+    assert masks[0] == 0 and masks[-1] == full
+    members = set(masks)
+    between = [m for m in range(full) if m not in members]
+    assert len(between) == full + 1 - len(masks)
+    for mask in [-1, -full - 1] + between + [full + 1, full << 3]:
+        assert posets._position(poset, mask) is None, mask
+
+
+def test_masks_outside_j_of_p_get_new_ideals():
+    """Toggles and sweeps of masks that lie between two members of J(P),
+    or above the last, give new ideals with the loop's masks."""
+    poset = rectangle_poset(3, 3)
+    shared = enumerate_ideals(poset)
+    masks = enumerate_ideal_masks(poset)
+    lows, ups = poset.lower_masks, poset.upper_masks
+    between = 1 << (poset.size - 1)  # the top element alone
+    above = masks[-1] | 1 << poset.size  # a bit past the poset
+    assert masks[0] < between < masks[-1] < above and between not in masks
+    # Adding the bottom element keeps the first mask outside J(P); removing
+    # the top element keeps the second above the last member.
+    for mask, x in ((between, 0), (above, poset.size - 1)):
+        outside = OrderIdeal.from_mask(poset, mask, validate=False)
+        for _ in ("cold", "warm"):
+            image = rowmotion_ideal(outside)
+            assert image.mask == _sweep_loop(mask, poset.rowmotion_order, lows, ups)
+            assert image.position is None and all(image is not i for i in shared)
+            toggled = toggle_ideal(outside, x)
+            assert toggled.mask == mask ^ 1 << x and toggled.position is None
+            assert all(toggled is not i for i in shared)
+
+
+def test_an_enumerated_poset_keeps_no_dict_keyed_by_masks():
+    poset = rectangle_poset(3, 4)
+    masks = set(enumerate_ideal_masks(poset))
+    assert SUITES["order"](poset, samples=2, seed=1)["pass"]
+    for _, step in _steps(poset):
+        for ideal in enumerate_ideals(poset):
+            toggle_ideal(step(ideal), 0)
+    dicts = [value for value in vars(poset).values() if isinstance(value, dict)]
+    assert poset._sweep_tables in dicts
+    assert all(masks.isdisjoint(d) for d in dicts)
+    assert all(type(part) is list for table in poset._sweep_tables.values() for part in table)
+
+
 def test_warm_steps_build_no_ideal(monkeypatch):
     poset = rectangle_poset(3, 4)
     shared = enumerate_ideals(poset)
@@ -266,27 +317,33 @@ def test_fresh_ideals_equal_their_shared_twins():
             assert hash(fresh) == hash(shared)
             for _, step in _steps(poset):
                 assert step(fresh) is step(shared)
+            for x in range(poset.size):
+                image = toggle_ideal(fresh, x)
+                assert image is toggle_ideal(shared, x)
+                if image.mask == fresh.mask:  # a blocked toggle gives back the shared twin
+                    assert image is shared
     twin = enumerate_ideals(rectangle_poset(3, 4))[5]
     assert twin == enumerate_ideals(poset)[5]  # an equal poset built apart
 
 
 @pytest.mark.parametrize("poset", _posets() + [rectangle_poset(5, 6)], ids=repr)
 def test_filled_slots_hold_the_enumerated_ints(poset):
-    """Positions and images are the index's own ints.
+    """Filled slots hold the enumerated shared ideals themselves.
 
-    [5]x[6] has 462 ideals, so most positions lie above the small ints
-    Python caches and an int built anew would fail the identity check.
+    Every slot is the shared ideal of the loop's image, by identity, and
+    that ideal carries its enumerated position.
     """
     masks = enumerate_ideal_masks(poset)
-    index = poset._ideal_index
     shared = enumerate_ideals(poset)
-    assert all(i.position is index[i.mask] for i in shared)
+    lows, ups = poset.lower_masks, poset.upper_masks
     for order, step in _steps(poset):
         for ideal in shared:
             step(ideal)
-        table_masks, table_index, images = poset._sweep_tables[order]
-        assert table_masks is masks and table_index is index
-        assert all(j is index[masks[j]] for j in images)
+        table_masks, table_ideals, images = poset._sweep_tables[order]
+        assert table_masks is masks and table_ideals is poset._ideals
+        for k, image in enumerate(images):
+            j = masks.index(_sweep_loop(masks[k], order, lows, ups))
+            assert image is shared[j] and image.position == j
 
 
 def test_random_ideal_draws_the_shared_ideals_from_the_same_stream():
@@ -348,17 +405,19 @@ def test_order_suite_fails_on_a_corrupt_warm_slot():
     """A filled rowmotion slot sent out of its orbit fails the power check.
 
     The first suite call fills the table; in the second every rowmotion
-    step but the first reads it warm.  The empty ideal's image now lies
-    in another orbit, so the empty ideal never comes back.
+    step but the first reads it warm.  The empty ideal's slot now holds
+    the shared ideal of another orbit, so the empty ideal never comes
+    back.
     """
     poset = rectangle_poset(3, 3)
     assert SUITES["order"](poset, samples=2, seed=1)["pass"]
+    shared = enumerate_ideals(poset)
     images = poset._sweep_tables[poset.rowmotion_order][2]
-    orbit, k = set(), 0
-    while k not in orbit:
-        orbit.add(k)
-        k = images[k]
-    images[0] = min(set(range(len(images))) - orbit)
+    orbit, ideal = set(), shared[0]
+    while ideal.position not in orbit:
+        orbit.add(ideal.position)
+        ideal = images[ideal.position]
+    images[0] = shared[min(set(range(len(images))) - orbit)]
     report = SUITES["order"](poset, samples=2, seed=1)
     failed = [c for c in report["checks"] if not c["pass"]]
     assert [(c["check"], c["regime"]) for c in failed] == [
