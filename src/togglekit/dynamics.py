@@ -169,6 +169,11 @@ def _schedule(poset, order, *times):
     plan = poset._schedules.get(key)
     if plan is None:
         size, lower, upper = poset.size, poset.lower_covers, poset.upper_covers
+        # One toggle tuple per element, shared by every sweep of the plan.
+        slots = {
+            x: (x, *_cover_slots(lower[x], size), *_cover_slots(upper[x], size + 1))
+            for x in order
+        }
         plan, needed = [], set()  # entries whose current value is read later
         for k in range(max((max(t, default=0) for t in times), default=0), 0, -1):
             due = tuple(tuple(x for x in order if t[x] == k) for t in times)
@@ -178,11 +183,7 @@ def _schedule(poset, order, *times):
                 if x in needed:
                     kept.append(x)
                     needed.update(lower[x], upper[x])
-            toggles = [
-                (x, *_cover_slots(lower[x], size), *_cover_slots(upper[x], size + 1))
-                for x in reversed(kept)
-            ]
-            plan.append((toggles, due))
+            plan.append(([slots[x] for x in reversed(kept)], due))
         if len(poset._schedules) >= MAX_SCHEDULES:
             poset._schedules.clear()
         plan = poset._schedules[key] = plan[::-1]

@@ -375,8 +375,8 @@ class OrderIdeal:
     def __init__(self, poset, members):
         mask = 0
         for x in members:
-            if not 0 <= x < poset.size:
-                raise PosetError(f"element index {x} out of range")
+            if not (_is_int(x) and 0 <= x < poset.size):
+                raise PosetError(f"element index {x!r} out of range")
             mask |= 1 << x
         if not poset.is_ideal_mask(mask):
             raise PosetError(f"{sorted_indices(mask)} is not down-closed")

@@ -98,6 +98,8 @@ def ideal_to_json(ideal):
 
 
 def ideal_from_json(poset, obj):
+    if not _is_int_list(obj):
+        raise PosetError("ideal JSON must be a list of integer element indices")
     return OrderIdeal(poset, obj)
 
 
@@ -111,6 +113,9 @@ def array_to_json(alg, f):
 
 def array_from_json(alg, poset, obj):
     'The array of a file written under alg; a file with another boundary is refused.'
+    keys = ("boundary", "values")
+    if not (isinstance(obj, dict) and all(isinstance(obj.get(k), list) for k in keys)):
+        raise ValueError("array JSON must be an object with boundary and values lists")
     boundary = [parse_rat(v) for v in obj["boundary"]]
     if boundary != list(alg.boundary):
         got, want = (", ".join(map(format_rat, pair)) for pair in (boundary, alg.boundary))
@@ -145,7 +150,10 @@ def pattern_to_json(pattern):
 
 
 def pattern_from_json(obj):
-    return GtPattern(obj["rows"])
+    rows = obj.get("rows") if isinstance(obj, dict) else None
+    if not isinstance(rows, list) or not all(_is_int_list(row) for row in rows):
+        raise TableauError("pattern JSON must be an object with rows of integers")
+    return GtPattern(rows)
 
 
 def dumps_canonical(obj):

@@ -5,8 +5,10 @@ check records what was tested, in which regime, how many inputs, and up
 to three counterexamples verbatim.  Suites are deterministic for a given
 seed, which the command line relies on for byte-identical reports.
 
-Every check record comes from _checks, which runs a probe over a list of
-inputs; a suite is its draws, its probes and the names of its checks.
+Every check record comes from _checks, which runs a probe over any
+iterable of inputs; a suite is its draws, its probes and the names of its
+checks.  Draws are generators, so a suite holds one input at a time and
+memory does not grow with samples, except in the homomesy rank audit.
 """
 
 from functools import reduce
@@ -95,20 +97,24 @@ def _checks(regime, inputs, names, probe, count=None, **extra):
     """One check record per name, all over the same inputs.
 
     probe(x) returns one list of violation records per name, so work the
-    checks share on an input is done once.  A record keeps the first
-    MAX_REPORTED violations and counts len(inputs) unless count is given.
+    checks share on an input is done once.  inputs may be any iterable,
+    walked once.  A record keeps only the first MAX_REPORTED violations,
+    dropping later ones as they arrive (a check with any fails), and counts
+    the inputs used unless count is given.
     """
     found = [[] for _ in names]
+    used = 0
     for x in inputs:
+        used += 1
         for violations, records in zip(found, probe(x)):
-            violations += records
+            violations += records[: MAX_REPORTED - len(violations)]
     return [
         {
             "check": name,
             "regime": regime,
-            "inputs": len(inputs) if count is None else count,
+            "inputs": used if count is None else count,
             "pass": not violations,
-            "violations": violations[:MAX_REPORTED],
+            "violations": violations,
             **extra,
         }
         for name, violations in zip(names, found)
@@ -141,13 +147,17 @@ def _power(step, x, n):
 
 
 def _draws(regime, poset, rng, count):
-    if regime == "pl":
-        return [PL.array(poset, random_polytope_point(poset, rng)) for _ in range(count)]
-    return [random_positive_array(BIRATIONAL, poset, rng) for _ in range(count)]
+    'count fresh arrays of the regime, each drawn when it is used.'
+    for _ in range(count):
+        if regime == "pl":
+            yield PL.array(poset, random_polytope_point(poset, rng))
+        else:
+            yield random_positive_array(BIRATIONAL, poset, rng)
 
 
 def _regime_samples(poset, rng, count, start=None, regimes=("pl", "birational")):
-    'Per regime (name, algebra, arrays): the one start, or count fresh draws in turn.'
+    """Per regime (name, algebra, arrays): the one start, built here so it is
+    validated before any walk, or count lazy draws, to be used up in turn."""
     out = []
     for regime in regimes:
         alg = ALGEBRAS[regime]
@@ -285,7 +295,8 @@ def suite_quotient(poset, samples=100, seed=None, start=None):
 
 
 def _constancy_probe(alg, map_name, functionals, cap, require_one):
-    """Probe for one functional-constancy check over a run of starts.
+    """Probe for one functional-constancy check over a run of starts,
+    returning its violations.
 
     The first start fixes each constant (which must be 1 when
     require_one); a functional is reported once, at its first failure.
@@ -309,7 +320,7 @@ def _constancy_probe(alg, map_name, functionals, cap, require_one):
                 continue
             failed.add(name)
             violations.append({"functional": name, "start": _strs(f), **found})
-        return (violations,)
+        return violations
 
     return probe
 
@@ -341,16 +352,16 @@ def suite_homomesy(poset, samples=50, seed=None, cap=1000, start=None):
     rng = seeded_rng(seed)
     checks = []
     extra = {"functionals": len(functionals)}
+    # One pass per array walks both maps' orbits, in MAPS order.
+    names = [f"standard-functionals-homomesic-under-{m}" for m in MAPS]
     for regime, alg, arrays in _regime_samples(poset, rng, samples, start):
-        for map_name in MAPS:
-            name = f"standard-functionals-homomesic-under-{map_name}"
-            probe = _constancy_probe(alg, map_name, functionals, cap, regime == "birational")
-            checks += _checks(regime, arrays, [name], probe, **extra)
-    vertex_arrays = [vertex_from_ideal(i) for i in enumerate_ideals(poset)]
-    for map_name in MAPS:
-        name = f"vertex-restricted-homomesy-under-{map_name}"
-        probe = _constancy_probe(PL, map_name, functionals, cap, False)
-        checks += _checks("combinatorial", vertex_arrays, [name], probe, **extra)
+        one = regime == "birational"
+        probes = [_constancy_probe(alg, m, functionals, cap, one) for m in MAPS]
+        checks += _checks(regime, arrays, names, lambda f: [p(f) for p in probes], **extra)
+    vertices = (vertex_from_ideal(i) for i in enumerate_ideals(poset))
+    names = [f"vertex-restricted-homomesy-under-{m}" for m in MAPS]
+    probes = [_constancy_probe(PL, m, functionals, cap, False) for m in MAPS]
+    checks += _checks("combinatorial", vertices, names, lambda f: [p(f) for p in probes], **extra)
     fields = ("nullspace_dim", "functional_rank")
 
     def full_rank(r):
@@ -391,7 +402,7 @@ def suite_bridge(shapes=BRIDGE_SHAPES, samples=100, seed=None):
     rng = seeded_rng(seed)
     checks = []
     for rows, cols, max_entry in shapes:
-        tableaux = [random_tableau(rows, cols, max_entry, rng) for _ in range(samples)]
+        tableaux = (random_tableau(rows, cols, max_entry, rng) for _ in range(samples))
 
         def probe(t):
             arr = tableau_to_array(t)
@@ -495,7 +506,7 @@ def suite_vertex(poset, samples=20, seed=None):
             return ([],)
         return ([{"extension": ext, "ideal": list(ideal.indices)}],)
 
-    swept = [(ext, ideal) for ext in extensions for ideal in ideals]
+    swept = ((ext, ideal) for ext in extensions for ideal in ideals)
     name = "reversed-linear-extension-sweep-equals-rowmotion"
     checks += _checks("combinatorial", swept, [name], sweeps)
 

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from togglekit import cli
+from togglekit import cli, verify
 from togglekit.cli import main
 from togglekit.posets import rectangle_poset, triangle_poset
 from togglekit.verify import SUITES
@@ -213,6 +213,19 @@ def test_verify_reciprocity_single_start(capsys):
     )
     assert code == 0
     assert "(1 inputs)" in out
+
+
+@pytest.mark.parametrize(
+    "suite", ["order", "three-step", "recombination", "reciprocity", "homomesy"]
+)
+def test_verify_refuses_a_bad_start_before_any_walk(capsys, monkeypatch, suite):
+    'A start that is a PL array but not a birational one exits 2 before the PL checks run.'
+    walked = []
+    for name in ("walks", "three_step", "reciprocity_check", "orbit_statistics"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name, **kwargs: walked.append(name))
+    code, out, err = run_cli(capsys, "verify", suite, "--shape", "2x2", "--start", "1,2,3,-1")
+    assert (code, out, walked) == (2, "", [])
+    assert err == "error: birational arrays must be strictly positive, got -1\n"
 
 
 def test_verify_bridge_with_shape(capsys):

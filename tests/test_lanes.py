@@ -245,6 +245,26 @@ def test_schedule_toggles_name_boundary_slots_and_every_cover():
     assert reads == ((4, 1, 2, 3, 0),)
 
 
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 4), (8, 8)])
+def test_every_sweep_of_a_plan_shares_one_toggle_tuple_per_element(a, b):
+    poset = rectangle_poset(a, b)
+    plans = [
+        (poset.rowmotion_order, [a + b] * poset.size),
+        (poset.promotion_order, [a + b] * poset.size),
+        (poset.promotion_order[::-1], _depths(poset)),
+    ]
+    for order, times in plans:
+        plan = _schedule(poset, order, times)
+        shared = {}
+        for toggles, _ in plan:
+            for toggle in toggles:
+                assert shared.setdefault(toggle[0], toggle) is toggle
+        # The order suite's plans toggle every element in each of a + b sweeps.
+        if len(set(times)) == 1:
+            assert sum(len(toggles) for toggles, _ in plan) == (a + b) * poset.size
+            assert len(shared) == poset.size
+
+
 def test_recombination_suite_compiles_its_walks_once(monkeypatch):
     calls = []
 

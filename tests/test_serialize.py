@@ -53,6 +53,41 @@ def test_ideal_json_outside_the_poset_is_refused(members):
         ideal_from_json(grid22(), members)
 
 
+def test_ideal_json_that_is_not_a_list_of_ints_is_refused():
+    message = "^ideal JSON must be a list of integer element indices$"
+    for doc in ([1.5], [True], [0, "1"], "01", {"0": 1}, None):
+        with pytest.raises(PosetError, match=message):
+            ideal_from_json(grid22(), doc)
+
+
+def test_order_ideal_refuses_a_bool_element():
+    with pytest.raises(PosetError, match="^element index True out of range$"):
+        OrderIdeal(grid22(), [0, True])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"boundary": ["0", "1"], "values": "1234"},  # not read as four characters
+        {"values": ["1"] * 4},
+        {"boundary": ["0", "1"]},
+        [],
+        None,
+    ],
+)
+def test_array_json_without_its_lists_is_refused(doc):
+    message = "^array JSON must be an object with boundary and values lists$"
+    with pytest.raises(ValueError, match=message):
+        array_from_json(PL, grid22(), doc)
+
+
+@pytest.mark.parametrize("doc", [{}, [[1]], {"rows": "21"}, {"rows": [[2, "1"], [1]]}])
+def test_malformed_pattern_json_raises_tableau_error(doc):
+    message = "^pattern JSON must be an object with rows of integers$"
+    with pytest.raises(TableauError, match=message):
+        pattern_from_json(doc)
+
+
 def test_array_round_trip():
     poset = grid22()
     f = bir_array(poset, 1, 2, "5/12", "5/4")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from togglekit.posets import Poset, PosetError, rectangle_poset, triangle_poset
@@ -17,6 +19,7 @@ from togglekit.verify import (
 
 GRID = rectangle_poset(2, 2)
 WIDE = rectangle_poset(2, 3)
+CUBE = rectangle_poset(3, 3)
 
 
 def _assert_clean(report, suite):
@@ -187,3 +190,77 @@ def test_recombination_suite_checks_both_directions():
         "inverse-shear-conjugates-rowmotion-to-promotion",
         "shear-round-trip-is-identity",
     }
+
+
+def test_checks_hold_at_most_max_reported_violations():
+    class Record:
+        live = most = 0
+
+        def __init__(self, x):
+            self.x = x
+            Record.live += 1
+            Record.most = max(Record.most, Record.live)
+
+        def __del__(self):
+            Record.live -= 1
+
+    count = 10**4
+    failing, passing = verify._checks(
+        "pl", (x for x in range(count)), ["fails", "passes"], lambda x: ([Record(x)], [])
+    )
+    assert failing["inputs"] == passing["inputs"] == count
+    assert not failing["pass"] and passing["pass"]
+    assert [r.x for r in failing["violations"]] == [0, 1, 2]
+    assert passing["violations"] == []
+    # Each record past the first MAX_REPORTED is dropped as it arrives.
+    assert Record.most == verify.MAX_REPORTED + 1
+
+
+def test_homomesy_walks_both_maps_from_each_array_in_one_pass(monkeypatch):
+    seen = []
+    statistics = verify.orbit_statistics
+
+    def recorded(alg, map_name, functionals, f, cap=1000):
+        seen.append((alg.name, map_name, f.values))
+        return statistics(alg, map_name, functionals, f, cap=cap)
+
+    monkeypatch.setattr(verify, "orbit_statistics", recorded)
+    assert suite_homomesy(GRID, samples=5, seed=3)["pass"]
+    # 5 PL draws, 5 birational draws, then the 6 vertices of J([2]x[2]).
+    assert len(seen) == 2 * (5 + 5 + 6)
+    for first, second in zip(seen[::2], seen[1::2]):
+        assert first[1] == "rowmotion" and second[1] == "promotion"
+        assert first[0] == second[0] and first[2] == second[2]
+
+
+def _fill_tuple_free_lists():
+    """CPython keeps up to 2,000 freed tuples of each length up to 20 for
+    reuse, and tracemalloc counts them as held.  A tuple built from a
+    generator is allocated at one length and freed at another, so those
+    lists fill up during a traced run.  Filling them first, with tuples
+    built before tracing starts, leaves only what a suite holds."""
+    for length in range(1, 21):
+        held = [tuple(range(length)) for _ in range(2100)]
+        del held
+
+
+def _traced_peak(name, samples):
+    _fill_tuple_free_lists()
+    tracemalloc.start()
+    try:
+        SUITES[name](CUBE, samples=samples, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "name", ["order", "three-step", "recombination", "reciprocity", "quotient", "vertex"]
+)
+def test_suite_memory_does_not_grow_with_samples(name):
+    # Holding every draw costs 0.6 to 1.2 KB per sample on [3]x[3], so 360
+    # more samples would add 200 KB or more.  The homomesy rank audit keeps
+    # one average vector per draw and is left out.
+    SUITES[name](CUBE, samples=2, seed=1)
+    few, many = _traced_peak(name, 40), _traced_peak(name, 400)
+    assert many - few < 64 * 1024, (few, many)
