@@ -12,7 +12,7 @@ import sys
 from .dynamics import ALGEBRAS, MAPS, PL, promotion, step_map
 from .orbits import OrbitError, orbit
 from .posets import OrderIdeal, PosetError, rectangle_poset
-from .rational import format_rat, parse_rat
+from .rational import parse_rat
 from .serialize import (
     MAX_POSET_SIZE,
     array_to_json,
@@ -106,7 +106,7 @@ def _parse_start(poset, regime, text):
 
 
 def _format_values(values):
-    return "(" + ",".join(format_rat(v) for v in values) + ")"
+    return "(" + ",".join(str(v) for v in values) + ")"
 
 
 def _format_ideal(ideal, labels):
@@ -130,7 +130,7 @@ def cmd_orbit(args):
     else:
         alg = ALGEBRAS[args.regime]
         record = orbit(step_map(alg, args.map), alg.array(poset, start), cap=args.cap)
-        states_json = [[format_rat(v) for v in state.values] for state in record]
+        states_json = [[str(v) for v in state.values] for state in record]
         lines = [_format_values(state.values) for state in record]
     if args.json:
         sys.stdout.write(
@@ -248,7 +248,7 @@ def cmd_tableau(args):
             print("# elements: " + ",".join(_display_labels(f.poset)))
             print("# values: " + _format_values(f.values))
             for row in _rank_rows(f):
-                print(" ".join(format_rat(v) for v in row))
+                print(" ".join(str(v) for v in row))
         return 0
     if args.action == "promote":
         advanced = tableau_promotion(tableau)
@@ -265,8 +265,8 @@ def cmd_tableau(args):
         sys.stdout.write(
             dumps_canonical(
                 {
-                    "left": [format_rat(v) for v in left.values],
-                    "right": [format_rat(v) for v in right.values],
+                    "left": [str(v) for v in left.values],
+                    "right": [str(v) for v in right.values],
                     "equal": equal,
                 }
             )

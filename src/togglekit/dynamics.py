@@ -35,7 +35,8 @@ since lane states compare exactly as the walked arrays would.
 - The piecewise-linear lane scales the values and the boundary by D, the
   lcm of all their denominators.  max, min, + and - map the lattice
   (1/D)Z^P to itself, so D is fixed over every walk from f and every
-  toggle is int arithmetic; states are lists of ints.
+  toggle is int arithmetic; states are lists of ints, and each keeps D
+  in the slot after the top boundary slot, where leave reads it.
 - The birational lane holds each value as a (numerator, denominator)
   pair, builds the lower sum, the upper parallel sum and L*R/v unreduced,
   and reduces the result with a single gcd per toggle, so states are
@@ -52,7 +53,7 @@ through later toggles that take x's value as their own previous value
 or as a cover's; one backward pass over the sweeps decides it.  The
 recombination shears read column j after j - 1 sweeps, so half of their
 toggles are dead.  Skipping a dead toggle changes no read entry.  A
-state has two slots past the elements, size for the bottom boundary
+state has two boundary slots past the elements, size for the bottom
 value and size + 1 for the top, and a toggle names the slots it reads:
 (x, l0, l1, lower_rest, u0, u1, upper_rest), where a minimal element's
 l0 is the bottom slot and a maximal element's u0 the top slot.  So each
@@ -127,12 +128,6 @@ class ToggleAlgebra:
         'Quotient-like pairing: a - b piecewise-linearly, a / b birationally.'
         return self.recombine(a, self.bottom_value, b)
 
-    def fold_lower(self, values):
-        return reduce(self.lower_aggregate, values)
-
-    def fold_upper(self, values):
-        return reduce(self.upper_aggregate, values)
-
     def array(self, poset, values):
         """Wrap values (anything Rat accepts) as a validated PArray; in a positive
         domain every value and both of the algebra's boundary values must be positive."""
@@ -193,22 +188,23 @@ def _schedule(poset, order, *times):
 class Lane(namedtuple("Lane", "enter stage leave")):
     """An exact integer lane, shared by iterate and walks.
 
-    enter(values, alg.boundary) -> (ends, start state), or None to
-    decline; a state holds the values at slots 0..size-1 and the bottom
-    and top boundary values at slots size and size + 1, which no toggle writes.
+    enter(values, alg.boundary) -> the start state, or None to decline; a
+    state holds the values at slots 0..size-1 and the bottom and top
+    boundary values at slots size and size + 1, which no toggle writes,
+    and anything else leave needs (the PL scale D) past them.
     stage(state, plan, count) -> the count states one _schedule plan of
     count times vectors reads, one per vector;
-    leave(ends, values, start, state, reads) -> values with the entries
-    in reads rebuilt from state.
+    leave(values, start, state, reads) -> values with the entries in
+    reads rebuilt from state.
     """
 
     __slots__ = ()
 
 
 def _pl_enter(values, boundary):
-    'Values, then bottom and top, scaled by D, the lcm of all their denominators.'
+    'Values, then bottom and top, scaled by D, the lcm of all their denominators; then D.'
     den = lcm(*(v.denominator for v in (*boundary, *values)))
-    return den, [v.numerator * (den // v.denominator) for v in (*values, *boundary)]
+    return [v.numerator * (den // v.denominator) for v in (*values, *boundary)] + [den]
 
 
 def _pl_stage(ints, plan, count):
@@ -240,9 +236,10 @@ def _pl_stage(ints, plan, count):
     return outs
 
 
-def _pl_leave(den, values, start, ints, reads):
+def _pl_leave(values, start, ints, reads):
     # Entries stay on a few lattice points, so each point becomes a
     # rational once; the input values seed the table.
+    den = ints[-1]
     rats = dict(zip(start, values))
     out = list(values)
     for x in reads:
@@ -259,7 +256,7 @@ def _birational_enter(values, boundary):
     nums = [v.numerator for v in (*values, *boundary)]
     if min(nums) <= 0:
         return None
-    return None, (nums, [v.denominator for v in (*values, *boundary)])
+    return nums, [v.denominator for v in (*values, *boundary)]
 
 
 def _birational_stage(state, plan, count):
@@ -292,7 +289,7 @@ def _birational_stage(state, plan, count):
     return outs
 
 
-def _birational_leave(ends, values, start, state, reads):
+def _birational_leave(values, start, state, reads):
     nums, dens = state
     out = list(values)
     for x in reads:
@@ -380,8 +377,8 @@ class PArray:
 def _toggled_value(alg, poset, values, boundary, x):
     lows = poset.lower_covers[x]
     ups = poset.upper_covers[x]
-    left = alg.fold_lower([values[y] for y in lows]) if lows else boundary[0]
-    right = alg.fold_upper([values[y] for y in ups]) if ups else boundary[1]
+    left = reduce(alg.lower_aggregate, [values[y] for y in lows]) if lows else boundary[0]
+    right = reduce(alg.upper_aggregate, [values[y] for y in ups]) if ups else boundary[1]
     return alg.recombine(left, right, values[x])
 
 
@@ -411,14 +408,13 @@ def _walk(alg, f, order, times):
 def iterate(alg, f, order, times):
     'Each entry x of f as it stands after times[x] sweeps of order; untouched x keep f(x).'
     lane = alg.sweep
-    entered = None if lane is None else lane.enter(f.values, alg.boundary)
-    if entered is None:
+    start = None if lane is None else lane.enter(f.values, alg.boundary)
+    if start is None:
         return _walk(alg, f, order, times)
-    ends, start = entered
     plan = _schedule(f.poset, order, times)
     (walked,) = lane.stage(start, plan, 1)
     reads = [x for _, (xs,) in plan for x in xs]
-    return f._replace(lane.leave(ends, f.values, start, walked, reads))
+    return f._replace(lane.leave(f.values, start, walked, reads))
 
 
 class WalkProgram(namedtuple("WalkProgram", "poset steps results")):
@@ -479,15 +475,14 @@ def walks(alg, f, program):
     if f.poset != program.poset:
         raise PosetError("the walk program is for another poset")
     lane = alg.sweep
-    entered = None if lane is None else lane.enter(f.values, alg.boundary)
-    if entered is None:
+    start = None if lane is None else lane.enter(f.values, alg.boundary)
+    if start is None:
         states = [f]
         for source, _, stages in program.steps:
-            start = states[source]
-            states += [_walk(alg, start, *stage) for stage in stages]
+            states += [_walk(alg, states[source], *stage) for stage in stages]
     else:
         run = lane.stage
-        states = [entered[1]]
+        states = [start]
         for source, plan, stages in program.steps:
             states += run(states[source], plan, len(stages))
     return [states[k] for k in program.results]

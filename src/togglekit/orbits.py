@@ -9,26 +9,14 @@ class OrbitError(RuntimeError):
     'Orbit did not close up: cap exceeded, or the map was not invertible.'
 
 
-class OrbitRecord:
-    'A full forward orbit: states[0] is the start, period = len(states).'
+class OrbitRecord(tuple):
+    'A full forward orbit, as the tuple of its states: [0] is the start.'
 
-    __slots__ = ("states",)
-
-    def __init__(self, states):
-        self.states = tuple(states)
+    __slots__ = ()
 
     @property
     def period(self):
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __len__(self):
-        return len(self.states)
-
-    def __getitem__(self, k):
-        return self.states[k]
+        return len(self)
 
     def __repr__(self):
         return f"OrbitRecord(period={self.period})"
@@ -65,6 +53,6 @@ def orbit_partition(step, states, cap=1000):
         if s in seen:
             continue
         rec = orbit(step, s, cap=cap)
-        seen.update(rec.states)
+        seen.update(rec)
         out.append(rec)
     return out

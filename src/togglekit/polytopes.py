@@ -9,7 +9,9 @@ ToggleAlgebra, so the same code yields the birational factorization when
 handed the birational instance.
 """
 
-from .dynamics import PL, toggle
+from functools import reduce
+
+from .dynamics import PL
 from .rational import ONE, ZERO
 
 
@@ -62,7 +64,7 @@ def transfer_map(alg, f):
             drops = [alg.difference(f[x], f[y]) for y in lows]
         else:
             drops = [alg.difference(f[x], alg.bottom_value)]
-        out.append(alg.fold_upper(drops))
+        out.append(reduce(alg.upper_aggregate, drops))
     return f._replace(out)
 
 
@@ -76,7 +78,7 @@ def cumulate_map(alg, f):
     out = [None] * poset.size
     for x in reversed(range(poset.size)):
         ups = poset.upper_covers[x]
-        agg = alg.fold_lower([out[y] for y in ups]) if ups else alg.bottom_value
+        agg = reduce(alg.lower_aggregate, [out[y] for y in ups]) if ups else alg.bottom_value
         out[x] = alg.combine(f[x], agg)
     return f._replace(out)
 
@@ -98,8 +100,3 @@ def transfer_inverse(g):
     if not in_chain_polytope(g):
         raise ValueError("inverse transfer expects a point of the chain polytope")
     return g._replace(_chain_sums(g))
-
-
-def pl_toggle(f, x):
-    'Piecewise-linear toggle at one element (total on all rational arrays).'
-    return toggle(PL, f, x)

@@ -1,9 +1,9 @@
 """Exact rational arithmetic.
 
 Every value in the library is an arbitrary-precision rational; floats are
-never used.  Rat is fractions.Fraction: it reduces automatically,
-compares exactly, and prints as "p/q" (just "p" when the denominator is
-1).  BACKEND names it for the environment records of benchmark runs.
+never used.  Rat is fractions.Fraction: it reduces and compares exactly,
+and str() prints it as "p/q" ("p" when the denominator is 1), the form
+reports and files carry.  BACKEND names it for benchmark environment records.
 """
 
 import sys
@@ -14,11 +14,6 @@ BACKEND = "fractions"
 
 ZERO = Rat(0)
 ONE = Rat(1)
-
-
-def rat(numerator, denominator=None):
-    'Build an exact rational from ints, strings, or another rational.'
-    return Rat(numerator, denominator)
 
 
 def parse_rat(text):
@@ -39,15 +34,10 @@ def parse_rat(text):
             raise ValueError(f"not a rational: {text!r} (exponent too large)")
     try:
         value = Rat(text.strip())
-        format_rat(value)
+        str(value)  # past the digit limit, str() raises ValueError
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
     return value
-
-
-def format_rat(value):
-    'Render a rational as reduced "p/q", or "p" when the denominator is 1.'
-    return str(value)
 
 
 def as_integer(value):

@@ -8,7 +8,7 @@ byte-identical across runs with the same inputs.
 import json
 
 from .posets import OrderIdeal, Poset, PosetError, _is_int, sorted_indices
-from .rational import format_rat, parse_rat
+from .rational import parse_rat
 from .tableaux import MAX_ENTRY, GtPattern, Tableau, TableauError
 
 # Largest size a poset file may declare.  A poset without rc builds a
@@ -106,8 +106,8 @@ def ideal_from_json(poset, obj):
 def array_to_json(alg, f):
     'The values of f and the boundary pair of alg, the algebra it is walked under.'
     return {
-        "values": [format_rat(v) for v in f.values],
-        "boundary": [format_rat(v) for v in alg.boundary],
+        "values": [str(v) for v in f.values],
+        "boundary": [str(v) for v in alg.boundary],
     }
 
 
@@ -118,7 +118,7 @@ def array_from_json(alg, poset, obj):
         raise ValueError("array JSON must be an object with boundary and values lists")
     boundary = [parse_rat(v) for v in obj["boundary"]]
     if boundary != list(alg.boundary):
-        got, want = (", ".join(map(format_rat, pair)) for pair in (boundary, alg.boundary))
+        got, want = (", ".join(map(str, pair)) for pair in (boundary, alg.boundary))
         raise ValueError(f"array boundary ({got}) is not the {alg.name} boundary ({want})")
     return alg.array(poset, [parse_rat(v) for v in obj["values"]])
 

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .dynamics import PL
-from .posets import PosetError, rectangle_poset
+from .posets import PosetError, _is_int, rectangle_poset
 from .rational import Rat
 
 
@@ -39,7 +39,11 @@ class Tableau:
     __slots__ = ("rows", "max_entry")
 
     def __init__(self, rows, max_entry):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        if not _is_int(max_entry):
+            raise TableauError(f"max entry must be an integer, got {max_entry!r}")
+        rows = tuple(map(tuple, rows))
+        if not all(_is_int(v) for row in rows for v in row):
+            raise TableauError("tableau entries must be integers")
         if not rows or not all(rows):
             raise TableauError("tableau needs at least one nonempty row")
         widths = [len(row) for row in rows]
@@ -56,7 +60,7 @@ class Tableau:
                 if r + 1 < len(rows) and c < widths[r + 1] and rows[r + 1][c] <= v:
                     raise TableauError(f"column {c + 1} is not strictly increasing")
         self.rows = rows
-        self.max_entry = int(max_entry)
+        self.max_entry = max_entry
 
     @classmethod
     def _trusted(cls, rows, max_entry):
@@ -94,7 +98,9 @@ class GtPattern:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(map(tuple, rows))
+        if not all(_is_int(v) for row in rows for v in row):
+            raise TableauError("pattern entries must be integers")
         n = len(rows)
         if not n or any(len(row) != n - i for i, row in enumerate(rows)):
             raise TableauError("pattern rows must have lengths n, n-1, ..., 1")
@@ -218,9 +224,11 @@ def array_to_pattern(f, columns):
     shape = f.poset.rectangle_shape
     if shape is None:
         raise PosetError("array is not on a rectangle poset")
+    if not (_is_int(columns) and columns > 0):
+        raise TableauError(f"column count must be a positive integer, got {columns!r}")
     a, width = shape
     n = a + width
-    b = int(columns)
+    b = columns
     rows = [
         [b if i + k <= a else 0 for k in range(n + 1 - i)]
         for i in range(1, n + 1)
@@ -287,11 +295,9 @@ def bender_knuth(tableau, index):
     locked copies of index + 1 a suffix.  Only rows with s != t change;
     the result is semistandard by construction and is not revalidated.
     """
-    i = int(index)
-    if not 1 <= i < tableau.max_entry:
-        raise TableauError(
-            f"involution index {i} outside 1..{tableau.max_entry - 1}"
-        )
+    i = index
+    if not (_is_int(i) and 1 <= i < tableau.max_entry):
+        raise TableauError(f"involution index {i!r} outside 1..{tableau.max_entry - 1}")
     rows = tableau.rows
     out = list(rows)
     for r, row in enumerate(rows):

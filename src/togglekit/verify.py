@@ -5,10 +5,10 @@ check records what was tested, in which regime, how many inputs, and up
 to three counterexamples verbatim.  Suites are deterministic for a given
 seed, which the command line relies on for byte-identical reports.
 
-Every check record comes from _checks, which runs a probe over any
-iterable of inputs; a suite is its draws, its probes and the names of its
-checks.  Draws are generators, so a suite holds one input at a time and
-memory does not grow with samples, except in the homomesy rank audit.
+Every check record comes from _record, most through _checks, which runs
+a probe over any iterable of inputs: a suite is its draws, its probes and
+its check names.  Draws are generators, so a suite holds one input at a
+time and memory does not grow with samples, save in the homomesy rank audit.
 """
 
 from functools import reduce
@@ -40,7 +40,7 @@ from .homomesy import (
     orbit_statistics,
     standard_functionals,
 )
-from .polytopes import pl_toggle, three_step
+from .polytopes import three_step
 from .posets import (
     PosetError,
     brouwer_schrijver,
@@ -93,14 +93,26 @@ def _bridge_work(rows, cols, max_entry):
 RANK_ROUNDS = 4
 
 
-def _checks(regime, inputs, names, probe, count=None, **extra):
+def _record(name, regime, inputs, violations, **extra):
+    """One check record: its name and regime, how many inputs it checked, and
+    its first MAX_REPORTED violations at most; it passes when there are none."""
+    return {
+        "check": name,
+        "regime": regime,
+        "inputs": inputs,
+        "pass": not violations,
+        "violations": violations,
+        **extra,
+    }
+
+
+def _checks(regime, inputs, names, probe, **extra):
     """One check record per name, all over the same inputs.
 
     probe(x) returns one list of violation records per name, so work the
     checks share on an input is done once.  inputs may be any iterable,
-    walked once.  A record keeps only the first MAX_REPORTED violations,
-    dropping later ones as they arrive (a check with any fails), and counts
-    the inputs used unless count is given.
+    walked once and counted.  A record keeps only the first MAX_REPORTED
+    violations, dropping later ones as they arrive (a check with any fails).
     """
     found = [[] for _ in names]
     used = 0
@@ -108,17 +120,7 @@ def _checks(regime, inputs, names, probe, count=None, **extra):
         used += 1
         for violations, records in zip(found, probe(x)):
             violations += records[: MAX_REPORTED - len(violations)]
-    return [
-        {
-            "check": name,
-            "regime": regime,
-            "inputs": used if count is None else count,
-            "pass": not violations,
-            "violations": violations,
-            **extra,
-        }
-        for name, violations in zip(names, found)
-    ]
+    return [_record(name, regime, used, bad, **extra) for name, bad in zip(names, found)]
 
 
 def _report(suite, seed, checks):
@@ -175,17 +177,16 @@ def suite_order(poset, samples=100, seed=None, start=None):
     checks = []
     # One map at a time, so the poset switches sweep tables once per map.
     # Inline, so an ideal costs its n steps and, as a shared ideal comes
-    # back as itself, one identity test; the violations go to _checks as
-    # one batch.
+    # back as itself, one identity test.
     for name, (step, _) in zip(names, MAPS.values()):
         bad = []
         for i in ideals:
             x = i
             for _ in range(n):
                 x = step(x)
-            if x is not i and x != i:
+            if x is not i and x != i and len(bad) < MAX_REPORTED:
                 bad.append({"start": list(i.indices)})
-        checks += _checks("combinatorial", [bad], [name], lambda v: (v,), count=len(ideals))
+        checks.append(_record(name, "combinatorial", len(ideals), bad))
     rng = seeded_rng(seed)
     powers = [n] * poset.size
     # One chain per map, in names order, then f itself.
@@ -363,16 +364,13 @@ def suite_homomesy(poset, samples=50, seed=None, cap=1000, start=None):
     probes = [_constancy_probe(PL, m, functionals, cap, False) for m in MAPS]
     checks += _checks("combinatorial", vertices, names, lambda f: [p(f) for p in probes], **extra)
     fields = ("nullspace_dim", "functional_rank")
-
-    def full_rank(r):
-        return ([] if r["pass"] else [{k: r[k] for k in (*fields, "stable")}],)
-
     for map_name in MAPS:
         count = max(samples, 2 * poset.size + 2)
         rank = _stable_rank(poset, rng, map_name, functionals, count, cap)
         name = f"homomesy-space-dimension-under-{map_name}"
+        violations = [] if rank["pass"] else [{k: rank[k] for k in (*fields, "stable")}]
         summary = {k: rank[k] for k in fields}
-        checks += _checks("pl", [rank], [name], full_rank, count=rank["samples"], **summary)
+        checks.append(_record(name, "pl", rank["samples"], violations, **summary))
     return _report("homomesy", seed, checks)
 
 
@@ -485,7 +483,7 @@ def suite_vertex(poset, samples=20, seed=None):
         vertex = vertex_from_ideal(i)
         members = list(i.indices)
         bad = [
-            x for x in elements if vertex_from_ideal(toggle_ideal(i, x)) != pl_toggle(vertex, x)
+            x for x in elements if vertex_from_ideal(toggle_ideal(i, x)) != toggle(PL, vertex, x)
         ]
         violations = [{"ideal": members, "elements": bad}] if bad else []
         if vertex_from_ideal(rowmotion_ideal(i)) != rowmotion(PL, vertex):

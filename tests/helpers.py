@@ -1,12 +1,12 @@
 """Shared builders for the test suite."""
 
-from togglekit import BIRATIONAL, PL, rat
+from togglekit import BIRATIONAL, PL, Rat
 from togglekit.posets import rectangle_poset
 
 
 def rats(*texts):
     'Tuple of exact rationals from "p/q" strings or ints.'
-    return tuple(rat(t) for t in texts)
+    return tuple(Rat(t) for t in texts)
 
 
 def pl_array(poset, *texts):

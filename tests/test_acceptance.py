@@ -16,6 +16,7 @@ from togglekit import (
     BIRATIONAL,
     PL,
     OrderIdeal,
+    Rat,
     SUITES,
     Tableau,
     bender_knuth,
@@ -24,7 +25,6 @@ from togglekit import (
     orbit_statistic,
     promotion,
     quotient_sequence,
-    rat,
     reciprocity_check,
     recombine,
     rectangle_poset,
@@ -129,7 +129,7 @@ def test_criterion_1_worked_examples(capsys):
             arr = tableau_to_array(t)
             assert arr.poset.rectangle_shape == (2, 3)
             assert arr.values == tuple(
-                rat(v) for v in ("0", "1/3", "1/3", "1", "1/3", "1")
+                Rat(v) for v in ("0", "1/3", "1/3", "1", "1/3", "1")
             )
 
 
@@ -206,7 +206,7 @@ def test_criterion_6_homomesy(capsys):
         for _ in range(3):
             rows.append(rowmotion(BIRATIONAL, rows[-1]))
         assert [middle.monomial_value(row) for row in rows] == [
-            rat(v) for v in ("4", "5/16", "2/3", "6/5")
+            Rat(v) for v in ("4", "5/16", "2/3", "6/5")
         ]
         value, period = orbit_statistic(BIRATIONAL, "rowmotion", middle, rows[0])
         assert value == ONE and period == 4

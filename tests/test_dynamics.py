@@ -1,4 +1,5 @@
 import re
+from functools import reduce
 
 import pytest
 
@@ -71,11 +72,11 @@ def test_algebra_combine_difference():
 
 
 def test_algebra_folds():
-    assert PL.fold_lower(rats("1/2", "2/3", "1/3")) == Rat(2, 3)
-    assert PL.fold_upper(rats("1/2", "2/3", "1/3")) == Rat(1, 3)
-    assert BIRATIONAL.fold_lower(rats(1, 2)) == Rat(3)
+    assert reduce(PL.lower_aggregate, rats("1/2", "2/3", "1/3")) == Rat(2, 3)
+    assert reduce(PL.upper_aggregate, rats("1/2", "2/3", "1/3")) == Rat(1, 3)
+    assert reduce(BIRATIONAL.lower_aggregate, rats(1, 2)) == Rat(3)
     # parallel sum: 2*2/(2+2)
-    assert BIRATIONAL.fold_upper(rats(2, 2)) == Rat(1)
+    assert reduce(BIRATIONAL.upper_aggregate, rats(2, 2)) == Rat(1)
 
 
 def test_custom_boundaries():

@@ -9,6 +9,7 @@ report.  Run this file as a script to print the current digests.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ from togglekit.kernels import pybitops
 from togglekit.posets import Poset, rectangle_poset, triangle_poset
 from togglekit.rational import ONE, ZERO, Rat
 from togglekit.serialize import dumps_canonical
-from togglekit.verify import SUITES, suite_bridge
+from togglekit.verify import SUITES, suite_bridge, suite_order
 
 SQUARE = rectangle_poset(2, 2)
 WIDE = rectangle_poset(2, 3)
@@ -200,6 +201,29 @@ def _digest(report):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_are_pinned(name, monkeypatch):
     assert _digest(_report(name, monkeypatch)) == DIGESTS[name]
+
+
+def _kind(check):
+    'A check kind: the check name, with no power and no bridge shape in it, and its regime.'
+    name = re.sub(r"-\d+x\d+-entries-\d+$", "", check["check"])
+    return re.sub(r"-power-\d+-", "-power-N-", name), check["regime"]
+
+
+def test_every_check_kind_has_a_negative_control():
+    clean = [run(WIDE, samples=2, seed=1) for suite, run in SUITES.items() if suite != "bridge"]
+    clean.append(suite_bridge(samples=2, seed=1))
+    kinds = {_kind(c) for report in clean for c in report["checks"]}
+    failed = set()
+    for name in CASES:
+        with pytest.MonkeyPatch.context() as patcher:
+            failed |= {_kind(c) for c in _report(name, patcher)["checks"] if not c["pass"]}
+    # The one kind no golden fault fails: the order of rowmotion itself.
+    with pytest.MonkeyPatch.context() as patcher:
+        order = Poset.__dict__["rowmotion_order"].func
+        patcher.setattr(Poset, "rowmotion_order", property(lambda p: order(p)[:-1]))
+        report = suite_order(rectangle_poset(2, 3), samples=2, seed=1)
+        failed |= {_kind(c) for c in report["checks"] if not c["pass"]}
+    assert sorted(kinds - failed) == []
 
 
 if __name__ == "__main__":

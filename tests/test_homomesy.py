@@ -165,7 +165,7 @@ def test_statistics_from_orbit_aggregates_match_per_state_evaluation(alg, map_na
             f = PL.array(poset, random_polytope_point(poset, rng))
         else:
             f = random_positive_array(BIRATIONAL, poset, rng)
-        states = orbit(step_map(alg, map_name), f).states
+        states = orbit(step_map(alg, map_name), f)
         table = orbit_statistics(alg, map_name, fns, f)
         for fn in fns:
             if alg is PL:

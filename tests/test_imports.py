@@ -1,12 +1,16 @@
-"""togglekit runs on the standard library alone.
+"""togglekit runs on the standard library alone, and its public face holds.
 
 A fresh interpreter imports the CLI; every module that import loads must
 be part of togglekit or of the standard library, so an optional
 dependency can only ever be imported lazily, inside the command that
-needs it.
+needs it.  The package exports exactly its __all__, and the README's
+library example prints what its comment says.
 """
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +18,7 @@ from pathlib import Path
 import togglekit
 
 SRC = str(Path(togglekit.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 PROBE = (
     "import sys\n"
     "before = set(sys.modules)\n"
@@ -35,3 +40,20 @@ def test_cli_import_loads_only_togglekit_and_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names | {"togglekit"}
     ]
     assert foreign == []
+
+
+def test_star_import_gives_exactly_all_once():
+    exported = {}
+    exec("from togglekit import *", exported)
+    del exported["__builtins__"]
+    assert len(set(togglekit.__all__)) == len(togglekit.__all__)
+    assert sorted(exported) == sorted(togglekit.__all__)
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    said = [line.partition("#")[2].strip() for line in block.splitlines() if "print(" in line]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(block, str(README), "exec"), {})
+    assert printed.getvalue().splitlines() == said

@@ -339,13 +339,12 @@ def walked(alg, f, chains):
         return ZeroDivisionError
     same = [[a == b for b in results] for a in results]
     lane = alg.sweep
-    entered = None if lane is None else lane.enter(f.values, alg.boundary)
-    if entered is None:
+    start = None if lane is None else lane.enter(f.values, alg.boundary)
+    if start is None:
         assert all(isinstance(r, PArray) for r in results)
     else:
-        ends, start = entered
         every = range(f.poset.size)
-        results = [f._replace(lane.leave(ends, f.values, start, r, every)) for r in results]
+        results = [f._replace(lane.leave(f.values, start, r, every)) for r in results]
     return results, same
 
 

@@ -8,10 +8,8 @@ from togglekit import (
     in_chain_polytope,
     in_order_polytope,
     pl_algebra,
-    pl_toggle,
     rowmotion,
     three_step,
-    toggle,
     transfer,
     transfer_inverse,
 )
@@ -193,11 +191,3 @@ def test_three_step_equals_rowmotion_at_other_boundaries(alg):
         for _ in range(5):
             f = random_positive_array(alg, poset, rng)
             assert three_step(alg, f) == rowmotion(alg, f)
-
-
-def test_pl_toggle_matches_generic_toggle():
-    poset = grid23()
-    rng = seeded_rng(31)
-    f = PL.array(poset, random_polytope_point(poset, rng))
-    for x in range(poset.size):
-        assert pl_toggle(f, x) == toggle(PL, f, x)

@@ -9,22 +9,13 @@ from togglekit.rational import (
     ZERO,
     Rat,
     as_integer,
-    format_rat,
     parse_rat,
-    rat,
 )
 
 
 def test_backend_is_a_known_implementation():
     assert BACKEND == "fractions"
     assert Rat is Fraction
-
-
-def test_rat_reduces():
-    assert rat(3, 6) == Rat(1, 2)
-    assert rat(-4, 2) == Rat(-2)
-    assert rat("5/12") == Rat(5, 12)
-    assert rat(7) == Rat(7)
 
 
 def test_constants():
@@ -44,7 +35,7 @@ def test_parse_rat():
 
 def test_parse_rat_refuses_values_str_could_not_print():
     limit = sys.get_int_max_str_digits()
-    assert format_rat(parse_rat(f"1e{limit - 1}")) == "1" + "0" * (limit - 1)
+    assert str(parse_rat(f"1e{limit - 1}")) == "1" + "0" * (limit - 1)
     assert parse_rat(f"1E-{limit - 1}") == Rat(1, 10 ** (limit - 1))
     assert parse_rat("2e0_000_000_000_003") == Rat(2000)
     huge = (f"1e{limit}", f"1e-{limit}", f"123e{limit - 1}", "1e4000000", "2.5E+" + "9" * 5000)
@@ -59,15 +50,15 @@ def test_parse_rat_rejects_garbage(bad):
         parse_rat(bad)
 
 
-def test_format_rat_is_reduced():
-    assert format_rat(Rat(5, 10)) == "1/2"
-    assert format_rat(Rat(6, 2)) == "3"
-    assert format_rat(Rat(-3, 9)) == "-1/3"
+def test_str_is_reduced():
+    assert str(Rat(5, 10)) == "1/2"
+    assert str(Rat(6, 2)) == "3"
+    assert str(Rat(-3, 9)) == "-1/3"
 
 
 def test_parse_format_round_trip():
     for text in ("0", "1", "5/12", "-7/3", "1000000000000/7"):
-        assert format_rat(parse_rat(text)) == text
+        assert str(parse_rat(text)) == text
 
 
 def test_as_integer():

@@ -40,6 +40,25 @@ def test_tableau_validation():
         Tableau([[1, 1], [2, 2, 2]], 3)  # rows must weakly shorten
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Tableau([[1.7, 2.2]], 3), "tableau entries must be integers"),
+        (lambda: Tableau([[1, 2]], 3.9), "max entry must be an integer, got 3.9"),
+        (lambda: Tableau([[True, "2"]], 3), "tableau entries must be integers"),
+        (lambda: bender_knuth(T, 1.9), "involution index 1.9 outside 1..4"),
+        (lambda: GtPattern([[2.5, 0.3], [1.9]]), "pattern entries must be integers"),
+        (lambda: array_to_pattern(tableau_to_array(T), 1.5), "column count must be .*, got 1.5"),
+        (lambda: array_to_pattern(tableau_to_array(T), 0), "column count must be .*, got 0"),
+    ],
+    ids=["float-entries", "float-max-entry", "bool-and-str-entries", "float-index",
+         "float-pattern", "float-columns", "zero-columns"],
+)
+def test_tableau_data_that_is_not_int_is_refused_not_truncated(build, message):
+    with pytest.raises(TableauError, match=f"^{message}$"):
+        build()
+
+
 def test_tableau_shape():
     assert T.shape == (3, 3)
     assert T.is_rectangular()

@@ -177,6 +177,26 @@ def test_order_suite_fails_rowmotion_without_its_last_toggle(monkeypatch, shape)
     assert failed == {(name, regime) for regime in ("combinatorial", "pl", "birational")}
 
 
+def test_order_suite_hands_on_at_most_max_reported_combinatorial_violations(monkeypatch):
+    order = Poset.__dict__["rowmotion_order"].func
+    monkeypatch.setattr(Poset, "rowmotion_order", property(lambda p: order(p)[:-1]))
+    handed = []
+    record = verify._record
+
+    def counted(name, regime, inputs, violations, **extra):
+        if regime == "combinatorial":
+            handed.append((name, inputs, len(violations)))
+        return record(name, regime, inputs, violations, **extra)
+
+    monkeypatch.setattr(verify, "_record", counted)
+    suite_order(rectangle_poset(6, 6), samples=1, seed=1)
+    # 11 of the 924 ideals fail the rowmotion check; the first MAX_REPORTED are kept.
+    assert handed == [
+        ("rowmotion-power-12-is-identity", 924, verify.MAX_REPORTED),
+        ("promotion-power-12-is-identity", 924, 0),
+    ]
+
+
 def test_quotient_suite_is_birational_only():
     report = suite_quotient(WIDE, samples=10, seed=3)
     assert {c["regime"] for c in report["checks"]} == {"birational"}
