@@ -119,9 +119,7 @@ def quotient_sequence(alg, f):
             total = alg.combine(total, f[x])
         profile.append(total)
     profile.append(neutral)
-    return tuple(
-        alg.difference(profile[k + 1], profile[k]) for k in range(len(profile) - 1)
-    )
+    return tuple([alg.difference(profile[k + 1], profile[k]) for k in range(len(profile) - 1)])
 
 
 def file_toggle_swap_check(alg, f, index):

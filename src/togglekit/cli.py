@@ -1,5 +1,9 @@
 """Command line: orbit listings, verification suites, tableau tools.
 
+Each command returns (status, doc, lines): its exit status, the document
+that --json prints, and the text lines printed without it.  main prints
+one of the two and returns the status.
+
 Exit codes: 0 success, 1 a dynamical invariant failed (or an orbit hit
 the iteration cap), 2 configuration or input errors.
 """
@@ -8,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import groupby
 
 from .dynamics import ALGEBRAS, MAPS, PL, promotion, step_map
 from .orbits import OrbitError, orbit
@@ -93,10 +98,9 @@ def _parse_start(poset, regime, text):
             missing = [lo for lo in poset.lower_covers[x] if lo not in members]
             if missing:
                 labels = _display_labels(poset)
-                shown = "{" + ",".join(labels[i] for i in sorted(members)) + "}"
                 raise ValueError(
-                    f"start {shown} is not down-closed: it holds {labels[x]} "
-                    f"but not {labels[missing[0]]}, which {labels[x]} covers"
+                    f"start {_format_ideal(sorted(members), labels)} is not down-closed: "
+                    f"it holds {labels[x]} but not {labels[missing[0]]}, which {labels[x]} covers"
                 )
         return OrderIdeal(poset, members)
     values = [parse_rat(t) for t in text.split(",")]
@@ -109,8 +113,12 @@ def _format_values(values):
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
-def _format_ideal(ideal, labels):
-    return "{" + ",".join(labels[i] for i in ideal.indices) + "}"
+def _format_ideal(indices, labels):
+    return "{" + ",".join(labels[i] for i in indices) + "}"
+
+
+def _text(rows):
+    return [" ".join(str(v) for v in row) for row in rows]
 
 
 def _check_cap(args):
@@ -125,31 +133,21 @@ def cmd_orbit(args):
     start = _parse_start(poset, args.regime, args.start)
     if args.regime == "combinatorial":
         record = orbit(MAPS[args.map][0], start, cap=args.cap)
-        states_json = [list(state.indices) for state in record]
-        lines = [_format_ideal(state, labels) for state in record]
+        states = [list(state.indices) for state in record]
+        lines = [_format_ideal(state, labels) for state in states]
     else:
         alg = ALGEBRAS[args.regime]
         record = orbit(step_map(alg, args.map), alg.array(poset, start), cap=args.cap)
-        states_json = [[str(v) for v in state.values] for state in record]
-        lines = [_format_values(state.values) for state in record]
-    if args.json:
-        sys.stdout.write(
-            dumps_canonical(
-                {
-                    "regime": args.regime,
-                    "map": args.map,
-                    "poset": poset_to_json(poset),
-                    "states": states_json,
-                    "period": record.period,
-                }
-            )
-        )
-    else:
-        print("# elements: " + ",".join(labels))
-        for line in lines:
-            print(line)
-        print(f"period: {record.period}")
-    return 0
+        states = [[str(v) for v in state.values] for state in record]
+        lines = [_format_values(state) for state in states]
+    doc = {
+        "regime": args.regime,
+        "map": args.map,
+        "poset": poset_to_json(poset),
+        "states": states,
+        "period": record.period,
+    }
+    return 0, doc, ["# elements: " + ",".join(labels), *lines, f"period: {record.period}"]
 
 
 def cmd_verify(args):
@@ -188,37 +186,24 @@ def cmd_verify(args):
                 raise ValueError("the vertex suite does not take --start")
             kwargs["start"] = _parse_start(poset, "birational", args.start)
         report = runner(poset, **kwargs)
-    if args.json:
-        sys.stdout.write(dumps_canonical(report))
-    else:
-        seed_note = "entropy" if report["seed"] is None else report["seed"]
-        print(f"suite: {report['suite']}  seed: {seed_note}")
-        for check in report["checks"]:
-            status = "PASS" if check["pass"] else "FAIL"
-            print(
-                f"{status} {check['check']} [{check['regime']}] "
-                f"({check['inputs']} inputs)"
-            )
-            for violation in check["violations"]:
-                print(f"     counterexample: {json.dumps(violation, sort_keys=True)}")
-        print("result: " + ("pass" if report["pass"] else "fail"))
-    return 0 if report["pass"] else 1
+    seed_note = "entropy" if report["seed"] is None else report["seed"]
+    lines = [f"suite: {report['suite']}  seed: {seed_note}"]
+    for check in report["checks"]:
+        status = "PASS" if check["pass"] else "FAIL"
+        lines.append(f"{status} {check['check']} [{check['regime']}] ({check['inputs']} inputs)")
+        lines += (
+            f"     counterexample: {json.dumps(violation, sort_keys=True)}"
+            for violation in check["violations"]
+        )
+    lines.append("result: " + ("pass" if report["pass"] else "fail"))
+    return (0 if report["pass"] else 1), report, lines
 
 
 def _rank_rows(f):
     'Rows of the array by rank, top rank first, high column first inside a row.'
-    poset = f.poset
-    order = sorted(
-        range(poset.size),
-        key=lambda i: (-poset.ranks[i], -poset.rc[i][0]),
-    )
-    rows = []
-    for i in order:
-        if rows and poset.ranks[rows[-1][0][0]] == poset.ranks[i]:
-            rows[-1].append((i, f.values[i]))
-        else:
-            rows.append([(i, f.values[i])])
-    return [[v for _, v in row] for row in rows]
+    ranks, rc = f.poset.ranks, f.poset.rc
+    order = sorted(range(f.poset.size), key=lambda i: (-ranks[i], -rc[i][0]))
+    return [[f.values[i] for i in row] for _, row in groupby(order, key=ranks.__getitem__)]
 
 
 def cmd_tableau(args):
@@ -230,52 +215,32 @@ def cmd_tableau(args):
     tableau = tableau_from_json(data)
     if args.action == "to-gt":
         pattern = tableau_to_pattern(tableau)
-        if args.json:
-            sys.stdout.write(dumps_canonical(pattern_to_json(pattern)))
-        else:
-            for row in pattern.rows:
-                print(" ".join(str(v) for v in row))
-        return 0
+        return 0, pattern_to_json(pattern), _text(pattern.rows)
     if args.action == "to-array":
         f = tableau_to_array(tableau)
-        if args.json:
-            sys.stdout.write(
-                dumps_canonical(
-                    {"poset": poset_to_json(f.poset), "array": array_to_json(PL, f)}
-                )
-            )
-        else:
-            print("# elements: " + ",".join(_display_labels(f.poset)))
-            print("# values: " + _format_values(f.values))
-            for row in _rank_rows(f):
-                print(" ".join(str(v) for v in row))
-        return 0
+        lines = [
+            "# elements: " + ",".join(_display_labels(f.poset)),
+            "# values: " + _format_values(f.values),
+            *_text(_rank_rows(f)),
+        ]
+        return 0, {"poset": poset_to_json(f.poset), "array": array_to_json(PL, f)}, lines
     if args.action == "promote":
         advanced = tableau_promotion(tableau)
-        if args.json:
-            sys.stdout.write(dumps_canonical(tableau_to_json(advanced)))
-        else:
-            for row in advanced.rows:
-                print(" ".join(str(v) for v in row))
-        return 0
+        return 0, tableau_to_json(advanced), _text(advanced.rows)
     left = tableau_to_array(tableau_promotion(tableau))
     right = promotion(PL, tableau_to_array(tableau))
     equal = left == right
-    if args.json:
-        sys.stdout.write(
-            dumps_canonical(
-                {
-                    "left": [str(v) for v in left.values],
-                    "right": [str(v) for v in right.values],
-                    "equal": equal,
-                }
-            )
-        )
-    else:
-        print("left:  " + _format_values(left.values))
-        print("right: " + _format_values(right.values))
-        print("equal: " + ("true" if equal else "false"))
-    return 0 if equal else 1
+    doc = {
+        "left": [str(v) for v in left.values],
+        "right": [str(v) for v in right.values],
+        "equal": equal,
+    }
+    lines = [
+        "left:  " + _format_values(left.values),
+        "right: " + _format_values(right.values),
+        "equal: " + ("true" if equal else "false"),
+    ]
+    return (0 if equal else 1), doc, lines
 
 
 def build_parser():
@@ -328,13 +293,16 @@ def main(argv=None):
         if isinstance(value, list):
             parser.error(f"argument --{name}: expected one argument")
     try:
-        return args.func(args)
+        status, doc, lines = args.func(args)
+        # Inside the try: a reader that closes the pipe early is an OSError.
+        sys.stdout.write(dumps_canonical(doc) if args.json else "\n".join(lines) + "\n")
     except OrbitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (PosetError, TableauError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -203,7 +203,7 @@ class Lane(namedtuple("Lane", "enter stage leave")):
 
 def _pl_enter(values, boundary):
     'Values, then bottom and top, scaled by D, the lcm of all their denominators; then D.'
-    den = lcm(*(v.denominator for v in (*boundary, *values)))
+    den = lcm(*[v.denominator for v in (*boundary, *values)])
     return [v.numerator * (den // v.denominator) for v in (*values, *boundary)] + [den]
 
 
@@ -334,7 +334,7 @@ class PArray:
 
     def __init__(self, poset, values):
         # Values that are already Rat are kept as they are, not rebuilt.
-        values = tuple(v if type(v) is Rat else Rat(v) for v in values)
+        values = tuple([v if type(v) is Rat else Rat(v) for v in values])
         if len(values) != poset.size:
             raise ValueError(f"{len(values)} values for {poset.size} elements")
         self.poset = poset

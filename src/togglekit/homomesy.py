@@ -142,10 +142,11 @@ def homomesy_check(alg, map_name, functional, starts, cap=1000):
     The constant comes from the first start; the report records it and
     any starts that disagree.
     """
-    starts = list(starts)
     constant = None
     violations = []
+    samples = 0
     for f in starts:
+        samples += 1
         value, _ = orbit_statistic(alg, map_name, functional, f, cap=cap)
         if constant is None:
             constant = value
@@ -158,7 +159,7 @@ def homomesy_check(alg, map_name, functional, starts, cap=1000):
         "map": map_name,
         "regime": alg.name,
         "constant": str(constant),
-        "samples": len(starts),
+        "samples": samples,
         "pass": not violations,
         "violations": violations,
     }

@@ -64,6 +64,15 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_pair(pair):
+    'pair as a tuple of two ints, or None when it is not one.'
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        return None
+    return (a, b) if _is_int(a) and _is_int(b) else None
+
+
 class Poset:
     """Finite poset given by an irredundant list of cover relations.
 
@@ -86,9 +95,10 @@ class Poset:
         self.size = size
         seen = set()
         for pair in covers:
-            lo, hi = pair
-            if not (_is_int(lo) and _is_int(hi)):
+            ints = _int_pair(pair)
+            if ints is None:
                 raise PosetError(f"cover {pair!r} must be a pair of integer indices")
+            lo, hi = ints
             if not (0 <= lo < size and 0 <= hi < size):
                 raise PosetError(f"cover {pair!r} out of range for size {size}")
             if lo == hi:
@@ -112,8 +122,8 @@ class Poset:
                 raise PosetError("labels must be distinct")
         self.labels = labels
         if rc is not None:
-            rc = tuple((c, r) for c, r in rc)
-            if not all(_is_int(v) for pair in rc for v in pair):
+            rc = tuple([_int_pair(pair) for pair in rc])
+            if None in rc:
                 raise PosetError("rc positions must be pairs of integers")
             if len(rc) != size:
                 raise PosetError(f"{len(rc)} rc positions for {size} elements")

@@ -1,12 +1,18 @@
+import ast
 import contextlib
 import io
 import json
+import os
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from test_golden_reports import _truncated_promotion
 
 from togglekit import cli, verify
 from togglekit.cli import main
@@ -489,6 +495,255 @@ def test_tableau_with_a_huge_max_entry_exits_2_at_once(tmp_path, action):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "above the limit" in proc.stderr
+
+
+SQUARE_JSON = poset_to_json(rectangle_poset(2, 2))
+ORBIT_TEXT = "# elements: w,x,y,z\n{}period: {}\n"
+
+
+def _orbit_doc(regime, map_name, states):
+    return {
+        "map": map_name, "period": len(states), "poset": SQUARE_JSON,
+        "regime": regime, "states": states,
+    }
+
+
+def _order_report(passed, checks):
+    'An order-suite report on [2]x[2] at seed 1; checks are (regime, inputs, violations).'
+    return {
+        "checks": [
+            {
+                "check": f"{name}-power-4-is-identity", "inputs": inputs,
+                "pass": name == "rowmotion" or not violations, "regime": regime,
+                "violations": violations if name == "promotion" else [],
+            }
+            for regime, inputs, violations in checks
+            for name in ("rowmotion", "promotion")
+        ],
+        "pass": passed, "seed": 1, "suite": "order",
+    }
+
+
+PL_STATES = [
+    ["1/10", "1/5", "3/10", "2/5"], ["1/5", "3/10", "4/5", "9/10"],
+    ["3/5", "4/5", "7/10", "9/10"], ["1/10", "7/10", "1/5", "4/5"],
+]
+BIRATIONAL_STATES = [
+    ["1", "2", "3", "4"], ["1/4", "5/8", "5/12", "5/4"],
+    ["4/5", "1/3", "1/2", "5/6"], ["6/5", "12/5", "8/5", "1"],
+]
+TRUNCATED_VIOLATIONS = [
+    [{"start": []}, {"start": [0]}, {"start": [0, 1]}],
+    [
+        {"start": ["1/5", "9/10", "1/5", "9/10"]},
+        {"start": ["3/20", "3/4", "7/10", "3/4"]},
+        {"start": ["1", "1", "1", "1"]},
+    ],
+    [
+        {"start": ["20", "5/3", "8/19", "4/11"]},
+        {"start": ["1", "1/18", "1/13", "1/2"]},
+        {"start": ["1/17", "8/15", "8/9", "2/3"]},
+    ],
+]
+TRUNCATED_CHECKS = list(zip(["combinatorial", "pl", "birational"], [6, 4, 4], TRUNCATED_VIOLATIONS))
+TRUNCATED_TEXT = """\
+suite: order  seed: 1
+PASS rowmotion-power-4-is-identity [combinatorial] (6 inputs)
+FAIL promotion-power-4-is-identity [combinatorial] (6 inputs)
+     counterexample: {"start": []}
+     counterexample: {"start": [0]}
+     counterexample: {"start": [0, 1]}
+PASS rowmotion-power-4-is-identity [pl] (4 inputs)
+FAIL promotion-power-4-is-identity [pl] (4 inputs)
+     counterexample: {"start": ["1/5", "9/10", "1/5", "9/10"]}
+     counterexample: {"start": ["3/20", "3/4", "7/10", "3/4"]}
+     counterexample: {"start": ["1", "1", "1", "1"]}
+PASS rowmotion-power-4-is-identity [birational] (4 inputs)
+FAIL promotion-power-4-is-identity [birational] (4 inputs)
+     counterexample: {"start": ["20", "5/3", "8/19", "4/11"]}
+     counterexample: {"start": ["1", "1/18", "1/13", "1/2"]}
+     counterexample: {"start": ["1/17", "8/15", "8/9", "2/3"]}
+result: fail
+"""
+PASSING_TEXT = """\
+suite: order  seed: 1
+PASS rowmotion-power-4-is-identity [combinatorial] (6 inputs)
+PASS promotion-power-4-is-identity [combinatorial] (6 inputs)
+PASS rowmotion-power-4-is-identity [pl] (2 inputs)
+PASS promotion-power-4-is-identity [pl] (2 inputs)
+PASS rowmotion-power-4-is-identity [birational] (2 inputs)
+PASS promotion-power-4-is-identity [birational] (2 inputs)
+result: pass
+"""
+TABLEAU_ARRAY = ["0", "1/3", "1/3", "1", "1/3", "1"]
+BRIDGE_VALUES = ["1/3", "2/3", "1/3", "2/3", "2/3", "2/3"]
+
+# name -> (patch or None, argv, exit code, text output, the document --json prints).
+# Tableau actions read T_JSON from stdin.
+RENDERINGS = {
+    "orbit-combinatorial": (
+        None,
+        ["orbit", "--regime", "combinatorial", "--shape", "2x2", "--start", "w,x"],
+        0,
+        ORBIT_TEXT.format("{w,x}\n{w,y}\n", 2),
+        _orbit_doc("combinatorial", "rowmotion", [[0, 1], [0, 2]]),
+    ),
+    "orbit-pl": (
+        None,
+        ["orbit", "--regime", "pl", "--map", "promotion", "--shape", "2x2",
+         "--start", "1/10,1/5,3/10,2/5"],
+        0,
+        ORBIT_TEXT.format("".join(f"({','.join(s)})\n" for s in PL_STATES), 4),
+        _orbit_doc("pl", "promotion", PL_STATES),
+    ),
+    "orbit-birational": (
+        None,
+        ["orbit", "--regime", "birational", "--shape", "2x2", "--start", "1,2,3,4"],
+        0,
+        ORBIT_TEXT.format("".join(f"({','.join(s)})\n" for s in BIRATIONAL_STATES), 4),
+        _orbit_doc("birational", "rowmotion", BIRATIONAL_STATES),
+    ),
+    "verify-pass": (
+        None,
+        ["verify", "order", "--shape", "2x2", "--samples", "2", "--seed", "1"],
+        0,
+        PASSING_TEXT,
+        _order_report(True, [("combinatorial", 6, []), ("pl", 2, []), ("birational", 2, [])]),
+    ),
+    "verify-fail": (
+        _truncated_promotion,
+        ["verify", "order", "--shape", "2x2", "--samples", "4", "--seed", "1"],
+        1,
+        TRUNCATED_TEXT,
+        _order_report(False, TRUNCATED_CHECKS),
+    ),
+    "tableau-to-gt": (
+        None,
+        ["tableau", "to-gt"],
+        0,
+        "3 3 0 0 0\n3 1 0 0\n3 1 0\n3 0\n1\n",
+        {"rows": [[3, 3, 0, 0, 0], [3, 1, 0, 0], [3, 1, 0], [3, 0], [1]]},
+    ),
+    "tableau-to-array": (
+        None,
+        ["tableau", "to-array"],
+        0,
+        "# elements: 1.1,2.1,1.2,2.2,1.3,2.3\n# values: (0,1/3,1/3,1,1/3,1)\n"
+        "1\n1/3 1\n1/3 1/3\n0\n",
+        {
+            "array": {"boundary": ["0", "1"], "values": TABLEAU_ARRAY},
+            "poset": poset_to_json(rectangle_poset(2, 3)),
+        },
+    ),
+    "tableau-promote": (
+        None,
+        ["tableau", "promote"],
+        0,
+        "1 1 4\n2 4 5\n",
+        {"max_entry": 5, "rows": [[1, 1, 4], [2, 4, 5]]},
+    ),
+    "tableau-bridge-check": (
+        None,
+        ["tableau", "bridge-check"],
+        0,
+        f"left:  ({','.join(BRIDGE_VALUES)})\nright: ({','.join(BRIDGE_VALUES)})\n"
+        "equal: true\n",
+        {"equal": True, "left": BRIDGE_VALUES, "right": BRIDGE_VALUES},
+    ),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", sorted(RENDERINGS))
+def test_every_rendering_is_pinned_byte_for_byte(monkeypatch, capsys, name, as_json):
+    patch, argv, code, text, doc = RENDERINGS[name]
+    if patch is not None:
+        patch(monkeypatch)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(T_JSON)))
+    flags = ["--json"] if as_json else []
+    assert run_cli(capsys, *argv, *flags) == (code, dumps_canonical(doc) if as_json else text, "")
+
+
+def test_a_closed_stdout_is_a_one_line_error(monkeypatch, capsys):
+    'A reader that goes away early, as "| head" does, gives one error line and exit 2.'
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["orbit", "--regime", "combinatorial", "--shape", "2x2", "--start", "w,x"])
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+PACKAGE = Path(cli.__file__).parent
+
+
+def _writes_stdout(node):
+    'A print( that does not pass file=sys.stderr, or any use of sys.stdout.'
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+        return not any(
+            k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords
+        )
+    return isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"
+
+
+def test_only_main_writes_to_stdout():
+    'Commands return their output; cli.main alone prints it.'
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "cli.py":
+            (main_def,) = [n for n in tree.body if getattr(n, "name", None) == "main"]
+            allowed = {id(n) for n in ast.walk(main_def)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _writes_stdout(node) and id(node) not in allowed
+        ]
+    assert found == []
+
+
+def _readme_examples():
+    'The (command, shown output lines) of each "$ python -m togglekit" in README "Command line".'
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    examples = []
+    for block in section.split("```sh\n")[1:]:
+        lines = block.split("\n```")[0].split("\n")
+        while lines:
+            command = [lines.pop(0)]
+            while command[-1].endswith("\\"):
+                command.append(lines.pop(0))
+            shown = []
+            while lines and lines[0] and not lines[0].startswith("$ "):
+                shown.append(lines.pop(0))
+            while lines and not lines[0]:
+                lines.pop(0)
+            examples.append(("\n".join(command).removeprefix("$ "), shown))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "command, shown", README_EXAMPLES, ids=[f"example-{k}" for k in range(len(README_EXAMPLES))]
+)
+def test_readme_command_line_examples_print_what_they_show(command, shown):
+    'A "..." line stands for any run of printed lines up to the next shown line.'
+    assert "python -m togglekit" in command
+    proc = subprocess.run(
+        command.replace("python -m togglekit", f"{shlex.quote(sys.executable)} -m togglekit"),
+        shell=True, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    pattern = "".join(
+        r"(?:.*\n)*?" if line == "..." else re.escape(line) + "\n" for line in shown
+    )
+    assert re.fullmatch(pattern, proc.stdout), proc.stdout
 
 
 def test_console_entry_point_runs():

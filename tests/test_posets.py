@@ -104,6 +104,21 @@ def test_rc_positions_must_be_ints(rc):
         Poset(2, [(0, 1)], rc=rc)
 
 
+@pytest.mark.parametrize(
+    "size, covers, rc, message",
+    [
+        (3, [(0, 1, 2)], None, "cover (0, 1, 2) must be a pair of integer indices"),
+        (3, [5], None, "cover 5 must be a pair of integer indices"),
+        (2, [(0, 1)], [(0, 0), 5], "rc positions must be pairs of integers"),
+        (2, [(0, 1)], [(0, 0), (1, 1, 1)], "rc positions must be pairs of integers"),
+    ],
+)
+def test_a_cover_or_rc_position_that_is_not_a_pair_is_a_poset_error(size, covers, rc, message):
+    with pytest.raises(PosetError) as info:
+        Poset(size, covers, rc=rc)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(1, 5) for b in range(1, 5)])
 def test_rectangle_shape_is_derived(a, b):
     assert rectangle_poset(a, b).rectangle_shape == (a, b)

@@ -253,19 +253,7 @@ def test_homomesy_walks_both_maps_from_each_array_in_one_pass(monkeypatch):
         assert first[0] == second[0] and first[2] == second[2]
 
 
-def _fill_tuple_free_lists():
-    """CPython keeps up to 2,000 freed tuples of each length up to 20 for
-    reuse, and tracemalloc counts them as held.  A tuple built from a
-    generator is allocated at one length and freed at another, so those
-    lists fill up during a traced run.  Filling them first, with tuples
-    built before tracing starts, leaves only what a suite holds."""
-    for length in range(1, 21):
-        held = [tuple(range(length)) for _ in range(2100)]
-        del held
-
-
 def _traced_peak(name, samples):
-    _fill_tuple_free_lists()
     tracemalloc.start()
     try:
         SUITES[name](CUBE, samples=samples, seed=1)
