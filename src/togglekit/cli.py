@@ -47,7 +47,7 @@ def _parse_shape(text, form="AxB"):
     return numbers
 
 
-def _resolve_poset(args, required=True):
+def _resolve_poset(args):
     if args.shape and args.poset:
         raise ValueError("pass --shape or --poset, not both")
     if args.shape:
@@ -60,9 +60,7 @@ def _resolve_poset(args, required=True):
     if args.poset:
         with open(args.poset) as handle:
             return poset_from_json(json.load(handle))
-    if required:
-        raise ValueError("a poset is required: pass --shape AxB or --poset FILE")
-    return None
+    raise ValueError("a poset is required: pass --shape AxB or --poset FILE")
 
 
 def _display_labels(poset):

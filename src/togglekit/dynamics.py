@@ -334,7 +334,10 @@ class PArray:
 
     def __init__(self, poset, values):
         # Values that are already Rat are kept as they are, not rebuilt.
-        values = tuple([v if type(v) is Rat else Rat(v) for v in values])
+        try:
+            values = tuple([v if type(v) is Rat else Rat(v) for v in values])
+        except TypeError:
+            raise ValueError("array values must be a sequence of rationals") from None
         if len(values) != poset.size:
             raise ValueError(f"{len(values)} values for {poset.size} elements")
         self.poset = poset

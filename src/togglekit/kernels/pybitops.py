@@ -4,18 +4,17 @@ Order ideals are int bitmasks over element indices, and the toggle at x
 flips bit x exactly when every lower cover of x is present and no upper
 cover is.  Python ints put no limit on poset size.
 
-A sweep of a member of J(P), the set of order ideals, can be answered
-from a table over J(P): a triple (masks, values, images), where masks is
-J(P) sorted ascending, values[k] is what stands for masks[k] (posets
-keeps its shared OrderIdeal there), and images[k] is the value of the
-image of masks[k] under one toggle order, or None until masks[k] has
-been swept.  Given a table and the mask's position, sweep() returns the
-slot: read back, or swept once and filled with values' entry at the
-image's position, found by bisection of masks.  A table is valid only
-for the toggle order and the cover masks it was built for (posets._sweep
-keys one per order by the order's contents).  The plain loop,
-_sweep_loop, is the oracle: it fills every slot and answers every sweep
-given no table.
+A sweep runs on a table record (order, lower_masks, upper_masks, masks,
+values, images): the toggle order, the cover masks it toggles by, J(P)
+sorted ascending as masks, values[k] standing for masks[k] (posets
+keeps its shared OrderIdeal there), and images[k] the value of the
+image of masks[k], or None until masks[k] has been swept.  Given a
+position, sweep() returns that position's slot: read back, or filled
+once with values' entry at the image's position, found by bisection of
+masks.  Given no position, it returns the image of a mask under the
+first three fields alone, so a record of just (order, lower_masks,
+upper_masks) will do.  The plain loop, _sweep_loop, is the oracle: it
+fills every slot and answers every sweep given no position.
 """
 
 from bisect import bisect_left
@@ -51,21 +50,19 @@ def toggle(mask, low, up, bit):
     return mask
 
 
-def sweep(mask, order, lower_masks, upper_masks, table=None, position=None):
-    """Apply toggles at the given element indices, in order: the image mask.
+def sweep(table, position, mask=None):
+    """The image under one table record's toggle order (module docstring).
 
-    With a table for this order (see the module docstring), position
-    must be the mask's position in it, and the result is the image's
-    slot instead: table[1]'s entry at the image's position, read back
-    after the mask's first sweep.
+    With a position in J(P), the slot of masks[position]: values' entry
+    at the image's position.  With position None, the image mask of mask.
     """
-    if table is None:
-        return _sweep_loop(mask, order, lower_masks, upper_masks)
-    images = table[2]
-    image = images[position]
+    if position is None:
+        return _sweep_loop(mask, table[0], table[1], table[2])
+    image = table[5][position]
     if image is None:
-        j = bisect_left(table[0], _sweep_loop(mask, order, lower_masks, upper_masks))
-        image = images[position] = table[1][j]
+        order, lows, ups, masks, values, images = table
+        j = bisect_left(masks, _sweep_loop(masks[position], order, lows, ups))
+        image = images[position] = values[j]
     return image
 
 

@@ -16,29 +16,26 @@ position in J(P); enumerate_ideals and sampling.random_ideal hand out
 those shared ideals.  J(P) has no other index: the position of any
 other mask is found by bisection of the ascending list.
 
-Sweep tables.  Once J(P) has been enumerated for a poset, every ideal
-sweep (rowmotion_ideal, promotion_ideal, file_toggle_ideal) of a member
-of J(P) makes one pybitops.sweep call with its position and a table of
-that toggle order over J(P): the shared mask list, the shared ideals,
-and at each position the shared ideal of that position's image,
-recorded the first time that ideal is swept.  The kernel returns that
-image ideal, and the step returns it as it is: no lookup and no new
-OrderIdeal.  A shared ideal carries its position; the position of
-another is found by bisection first.  Tables are keyed by the contents
-of the order tuple, never by the name of a map, so a changed order gets
-a table of its own.  A table is valid only for the poset's own cover
-masks.  The kernel's plain toggle loop is the oracle: it fills every
-slot, and answers masks outside J(P) and every sweep of a poset whose
-J(P) was never enumerated, which builds no table; those steps return a
-new OrderIdeal, and so does toggle_ideal for an image outside an
-enumerated J(P).
+Sweep tables.  Once J(P) has been enumerated, every ideal sweep
+(rowmotion_ideal, promotion_ideal, file_toggle_ideal) of a member of
+J(P) makes one pybitops.sweep call with a table record and the ideal's
+position.  A record (order, lower_masks, upper_masks, masks, ideals,
+images) holds the toggle order, the poset's cover masks, the shared
+masks and ideals of J(P), and at each position the shared ideal of that
+position's image, recorded the first time that ideal is swept; the step
+returns that ideal as it is, with no lookup and no new OrderIdeal.
+Records are keyed by the contents of the order tuple, never by the name
+of a map, so a changed order gets a record of its own.  The kernel's
+plain toggle loop is the oracle: it fills every slot, and answers masks
+outside J(P) and every sweep of a poset whose J(P) was never
+enumerated, which keeps no record; those steps return a new OrderIdeal,
+and so does toggle_ideal for an image outside an enumerated J(P).
 
 A warm step is two frames: when the ideal is shared and the poset's
-last table belongs to the very order tuple the map holds,
-rowmotion_ideal and promotion_ideal call the kernel themselves, with
-that table and the cover masks kept beside it, and return what it
-returns.  Every other step, file toggles included, goes through _sweep,
-which finds the table by the order's contents.
+last record holds the very order tuple the map holds, rowmotion_ideal
+and promotion_ideal pass that record and the position to the kernel
+and return what it returns.  Every other step, file toggles included,
+goes through _sweep, which finds the record by the order's contents.
 
 Enumeration is refused, with a PosetError, when J(P) would hold more
 than MAX_IDEALS order ideals: rectangles are checked against the exact
@@ -62,6 +59,14 @@ class PosetError(ValueError):
 def _is_int(value):
     'An int that is not a bool: the one rule for integer poset data.'
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _tuple(value, what):
+    'value as a tuple, or a PosetError when it is not iterable.'
+    try:
+        return tuple(value)
+    except TypeError:
+        raise PosetError(f"{what} must be a sequence, got {value!r}") from None
 
 
 def _int_pair(pair):
@@ -94,7 +99,7 @@ class Poset:
             raise PosetError(f"negative size {size}")
         self.size = size
         seen = set()
-        for pair in covers:
+        for pair in _tuple(covers, "covers"):
             ints = _int_pair(pair)
             if ints is None:
                 raise PosetError(f"cover {pair!r} must be a pair of integer indices")
@@ -115,14 +120,14 @@ class Poset:
         if labels is None:
             labels = tuple(str(i) for i in range(size))
         else:
-            labels = tuple(labels)
+            labels = _tuple(labels, "labels")
             if len(labels) != size:
                 raise PosetError(f"{len(labels)} labels for {size} elements")
             if len(set(labels)) != size:
                 raise PosetError("labels must be distinct")
         self.labels = labels
         if rc is not None:
-            rc = tuple([_int_pair(pair) for pair in rc])
+            rc = tuple([_int_pair(pair) for pair in _tuple(rc, "rc")])
             if None in rc:
                 raise PosetError("rc positions must be pairs of integers")
             if len(rc) != size:
@@ -139,12 +144,11 @@ class Poset:
         self._check_irredundant()
         self._ideal_masks = None  # J(P), ascending, once enumerated
         self._ideals = None  # one shared OrderIdeal per mask of _ideal_masks
-        self._sweep_tables = {}  # toggle order tuple -> (masks, ideals, images)
+        self._sweep_tables = {}  # toggle order contents -> its table record
         self._schedules = {}  # (order, times) -> dynamics._schedule's plan
-        # The last (order, table) served, with the lower and upper cover
-        # masks it is valid for: a warm ideal step reads every kernel
-        # argument but the ideal's mask and position from this one tuple.
-        self._last_table = (None, None, None, None)
+        # The last table record served: a warm ideal step passes it to the
+        # kernel with the ideal's position when its order is the map's own.
+        self._last_table = (None,)
 
     def _check_irredundant(self):
         # With rc, the check in __init__ makes every cover climb exactly one
@@ -333,8 +337,8 @@ def rectangle_poset(a, b):
     Canonical index order is rank i+j-2 ascending, then column j-i
     ascending, and the rc embedding places (i,j) at column j-i.
     """
-    if a < 1 or b < 1:
-        raise PosetError(f"rectangle sides must be positive, got {a}x{b}")
+    if not (_is_int(a) and _is_int(b) and a >= 1 and b >= 1):
+        raise PosetError(f"rectangle sides must be positive integers, got {a!r}x{b!r}")
     elems = sorted(
         ((i, j) for i in range(1, a + 1) for j in range(1, b + 1)),
         key=lambda e: (e[0] + e[1], e[1] - e[0]),
@@ -357,8 +361,8 @@ def triangle_poset(n):
     exist: a single chain for n=2, and in general a graded poset with
     bottom (n,n), top (1,n), and an rc embedding at column j.
     """
-    if n < 1:
-        raise PosetError(f"triangle order must be positive, got {n}")
+    if not (_is_int(n) and n >= 1):
+        raise PosetError(f"triangle order must be a positive integer, got {n!r}")
     elems = sorted(
         ((i, j) for i in range(1, n + 1) for j in range(i, n + 1)),
         key=lambda e: (e[1] - 2 * e[0], e[1]),
@@ -384,7 +388,7 @@ class OrderIdeal:
 
     def __init__(self, poset, members):
         mask = 0
-        for x in members:
+        for x in _tuple(members, "ideal members"):
             if not (_is_int(x) and 0 <= x < poset.size):
                 raise PosetError(f"element index {x!r} out of range")
             mask |= 1 << x
@@ -441,14 +445,7 @@ class OrderIdeal:
 
 
 def sorted_indices(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def toggle_ideal(ideal, x):
@@ -481,48 +478,44 @@ def _position(poset, mask):
 def _sweep(ideal, order):
     """One kernel sweep; an image in J(P) comes back as its shared ideal.
 
-    Once J(P) is enumerated, the order's (masks, ideals, images) table
-    is made on first use and kept as the poset's last table, and an
-    ideal in J(P) is swept by its position; before, and for masks
-    outside J(P), the kernel runs its loop with no table and the image
-    is a new ideal.
+    Once J(P) is enumerated, the order's record is made on first use, or
+    remade to hold a new tuple of the same order with the same images,
+    and kept as the poset's last table; an ideal in J(P) is swept by its
+    position.  Otherwise the kernel loops and the image is a new ideal.
     """
     poset = ideal.poset
-    lows, ups = poset.lower_masks, poset.upper_masks
+    table = (order, poset.lower_masks, poset.upper_masks)
     masks = poset._ideal_masks
     if masks is not None:
-        table = poset._sweep_tables.get(order)
-        if table is None:
-            table = poset._sweep_tables[order] = (masks, poset._ideals, [None] * len(masks))
-        poset._last_table = (order, table, lows, ups)
+        known = poset._sweep_tables.get(order)
+        if known is None or known[0] is not order:
+            images = [None] * len(masks) if known is None else known[5]
+            poset._sweep_tables[order] = table + (masks, poset._ideals, images)
+        table = poset._last_table = poset._sweep_tables[order]
         k = ideal.position
         if k is None:
             k = _position(poset, ideal.mask)
         if k is not None:
-            return pybitops.sweep(ideal.mask, order, lows, ups, table, k)
-    return OrderIdeal.from_mask(poset, pybitops.sweep(ideal.mask, order, lows, ups), validate=False)
+            return pybitops.sweep(table, k)
+    return OrderIdeal.from_mask(poset, pybitops.sweep(table, None, ideal.mask), validate=False)
 
 
 def rowmotion_ideal(ideal):
     'Toggle every element once, top rank first.'
-    poset = ideal.poset
-    order = poset.rowmotion_order
-    last_order, table, lows, ups = poset._last_table
-    k = ideal.position
-    if order is not last_order or k is None:
-        return _sweep(ideal, order)
-    return pybitops.sweep(ideal.mask, order, lows, ups, table, k)
+    order = ideal.poset.rowmotion_order
+    table = ideal.poset._last_table
+    if table[0] is order and ideal.position is not None:
+        return pybitops.sweep(table, ideal.position)
+    return _sweep(ideal, order)
 
 
 def promotion_ideal(ideal):
     'Toggle every element once, sweeping files left to right (needs an rc embedding).'
-    poset = ideal.poset
-    order = poset.promotion_order
-    last_order, table, lows, ups = poset._last_table
-    k = ideal.position
-    if order is not last_order or k is None:
-        return _sweep(ideal, order)
-    return pybitops.sweep(ideal.mask, order, lows, ups, table, k)
+    order = ideal.poset.promotion_order
+    table = ideal.poset._last_table
+    if table[0] is order and ideal.position is not None:
+        return pybitops.sweep(table, ideal.position)
+    return _sweep(ideal, order)
 
 
 def file_toggle_ideal(ideal, index):

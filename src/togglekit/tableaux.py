@@ -33,6 +33,14 @@ class TableauError(ValueError):
     'A tableau or pattern failed validation.'
 
 
+def _rows(rows, what):
+    'rows as a tuple of tuples, or a TableauError when they are not sequences.'
+    try:
+        return tuple(map(tuple, rows))
+    except TypeError:
+        raise TableauError(f"{what} rows must be sequences") from None
+
+
 class Tableau:
     'Semistandard tableau: rows weakly increase, columns strictly increase.'
 
@@ -41,7 +49,7 @@ class Tableau:
     def __init__(self, rows, max_entry):
         if not _is_int(max_entry):
             raise TableauError(f"max entry must be an integer, got {max_entry!r}")
-        rows = tuple(map(tuple, rows))
+        rows = _rows(rows, "tableau")
         if not all(_is_int(v) for row in rows for v in row):
             raise TableauError("tableau entries must be integers")
         if not rows or not all(rows):
@@ -98,7 +106,7 @@ class GtPattern:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(map(tuple, rows))
+        rows = _rows(rows, "pattern")
         if not all(_is_int(v) for row in rows for v in row):
             raise TableauError("pattern entries must be integers")
         n = len(rows)
@@ -183,7 +191,8 @@ def rectangle_type(pattern):
 
     Every slot (i, k) with i + k <= A holds B and every slot with
     k >= A holds 0 (rows are 1-indexed, slots 0-indexed); only an
-    A x (n - A) rectangle of slots is free.
+    A x (n - A) rectangle of slots is free.  Interlacing carries the
+    top row's zeros down, so only the slots of B need a check.
     """
     top = pattern.rows[0]
     a = sum(1 for v in top if v != 0)
@@ -194,8 +203,6 @@ def rectangle_type(pattern):
     for i, row in enumerate(pattern.rows, start=1):
         for k, v in enumerate(row):
             if i + k <= a and v != b:
-                raise TableauError("pattern is not of rectangular type")
-            if k >= a and v != 0:
                 raise TableauError("pattern is not of rectangular type")
     return a, b
 

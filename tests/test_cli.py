@@ -153,6 +153,22 @@ def test_orbit_rejects_non_ideal_start(capsys):
         assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("orbit", "--regime", "combinatorial", "--shape", "2x2", "--start", "4"),
+         "element index 4 outside 0..3"),
+        (("verify", "bridge", "--start", "1", "--samples", "1"),
+         "the bridge suite does not take --start"),
+        (("verify", "vertex", "--shape", "2x2", "--start", "1,1,1,1", "--samples", "1"),
+         "the vertex suite does not take --start"),
+    ],
+)
+def test_cli_refusals_name_the_bad_argument(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_orbit_needs_a_poset(capsys):
     code, _, err = run_cli(capsys, "orbit", "--regime", "pl", "--start", "0")
     assert code == 2

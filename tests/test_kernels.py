@@ -49,7 +49,7 @@ def test_sweep_matches_elementwise_toggles():
             expected = mask
             for i in order:
                 expected = pybitops.toggle(expected, lows[i], ups[i], 1 << i)
-            assert pybitops.sweep(mask, order, lows, ups) == expected
+            assert pybitops.sweep((order, lows, ups), None, mask) == expected
 
 
 def test_kernel_for_returns_pure_kernel():

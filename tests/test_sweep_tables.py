@@ -64,7 +64,7 @@ def test_tabled_sweeps_equal_the_loop_cold_and_warm(poset):
             expected = [_sweep_loop(m, order, lows, ups) for m in masks]
             for ideals in passes + passes:
                 assert [step(i).mask for i in ideals] == expected
-            _, _, images = copy._sweep_tables[order]
+            images = copy._sweep_tables[order][5]
             assert [image.mask for image in images] == expected  # all recorded on the first pass
 
 
@@ -78,12 +78,12 @@ def test_kernel_reads_each_image_position_by_position(poset):
     lows, ups = poset.lower_masks, poset.upper_masks
     for order, _ in _steps(poset):
         values = [("value", m) for m in masks]
-        table = (masks, values, [None] * len(masks))
+        table = (order, lows, ups, masks, values, [None] * len(masks))
         expected = [_sweep_loop(m, order, lows, ups) for m in masks]
         for _ in ("cold", "warm"):
-            read = [pybitops.sweep(m, order, lows, ups, table, k) for k, m in enumerate(masks)]
+            read = [pybitops.sweep(table, k) for k in range(len(masks))]
             assert all(r is values[masks.index(m)] for r, m in zip(read, expected))
-        assert table[2] == read
+        assert table[5] == read
 
 
 def test_patched_order_gets_its_own_table(monkeypatch):
@@ -127,9 +127,9 @@ def test_one_kernel_sweep_per_ideal_step(monkeypatch):
     calls = []
     sweep = pybitops.sweep
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return sweep(*args, **kwargs)
+    def counted(table, position, mask=None):
+        calls.append(mask if position is None else table[3][position])
+        return sweep(table, position, mask)
 
     monkeypatch.setattr(pybitops, "sweep", counted)
     ideals = [OrderIdeal.from_mask(poset, m) for m in masks]
@@ -244,7 +244,7 @@ def test_an_enumerated_poset_keeps_no_dict_keyed_by_masks():
     dicts = [value for value in vars(poset).values() if isinstance(value, dict)]
     assert poset._sweep_tables in dicts
     assert all(masks.isdisjoint(d) for d in dicts)
-    assert all(type(part) is list for table in poset._sweep_tables.values() for part in table)
+    assert all(type(part) is list for table in poset._sweep_tables.values() for part in table[3:])
 
 
 def test_warm_steps_build_no_ideal(monkeypatch):
@@ -339,7 +339,7 @@ def test_filled_slots_hold_the_enumerated_ints(poset):
     for order, step in _steps(poset):
         for ideal in shared:
             step(ideal)
-        table_masks, table_ideals, images = poset._sweep_tables[order]
+        _, _, _, table_masks, table_ideals, images = poset._sweep_tables[order]
         assert table_masks is masks and table_ideals is poset._ideals
         for k, image in enumerate(images):
             j = masks.index(_sweep_loop(masks[k], order, lows, ups))
@@ -412,7 +412,7 @@ def test_order_suite_fails_on_a_corrupt_warm_slot():
     poset = rectangle_poset(3, 3)
     assert SUITES["order"](poset, samples=2, seed=1)["pass"]
     shared = enumerate_ideals(poset)
-    images = poset._sweep_tables[poset.rowmotion_order][2]
+    images = poset._sweep_tables[poset.rowmotion_order][5]
     orbit, ideal = set(), shared[0]
     while ideal.position not in orbit:
         orbit.add(ideal.position)
