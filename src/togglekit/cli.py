@@ -149,12 +149,7 @@ def cmd_orbit(args):
 
 
 def cmd_verify(args):
-    try:
-        runner = SUITES[args.suite]
-    except KeyError:
-        raise ValueError(
-            f"unknown suite {args.suite!r}; pick one of {', '.join(sorted(SUITES))}"
-        ) from None
+    runner = SUITES[args.suite]
     _check_cap(args)
     if args.samples is not None and args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")

@@ -12,45 +12,53 @@ the average of a linear form is the linear form of the column means
 (the orbit average of each element), and the orbit product of a
 monomial is the monomial of the column products.  So each orbit is
 walked once, its columns are aggregated once, and every functional is
-read off the aggregate with one sparse dot product or monomial.
+read off the aggregate with one sparse dot product or monomial over its
+support, the nonzero (index, coefficient) pairs it stores once.
+
+In an algebra's integer lane the orbit is walked in frozen lane states:
+the start is entered once, each step runs one _schedule plan of one
+sweep of the map's order, and orbits.orbit hashes tuples of ints.  The
+aggregate is then read from ints, one Rat per element: piecewise-
+linearly a column's int sum over D * period, birationally the product
+of a column's numerators over the product of its denominators.  Lane
+states compare exactly as the walked arrays would, so the period and
+both OrbitErrors are those of the reference walk, orbit over step_map,
+which an algebra with no lane, or a start its lane declines, still runs.
 """
 
 from math import prod
 
-from .dynamics import step_map
+from .dynamics import _schedule, step_map
 from .orbits import orbit
 from .posets import rectangle_poset
 from .rational import ONE, Rat, ZERO, as_integer
 
 
-def _linear(coefficients, values):
-    return sum((c * v for c, v in zip(coefficients, values) if c != ZERO), ZERO)
+def _linear(support, values):
+    return sum((c * values[x] for x, c in support), ZERO)
 
 
-def _monomial(coefficients, values):
-    out = ONE
-    for c, v in zip(coefficients, values):
-        if c != ZERO:
-            out *= v ** as_integer(c)
-    return out
+def _monomial(support, values):
+    return prod((values[x] ** as_integer(c) for x, c in support), start=ONE)
 
 
 class Functional:
-    'Named coefficient vector over the elements of a poset.'
+    'Named coefficient vector over the elements of a poset, with its support.'
 
-    __slots__ = ("name", "coefficients")
+    __slots__ = ("name", "coefficients", "support")
 
     def __init__(self, name, coefficients):
         self.name = name
         self.coefficients = tuple(Rat(c) for c in coefficients)
+        self.support = tuple((x, c) for x, c in enumerate(self.coefficients) if c != ZERO)
 
     def linear_value(self, f):
         'Sum of coefficient * entry.'
-        return _linear(self.coefficients, f.values)
+        return _linear(self.support, f.values)
 
     def monomial_value(self, f):
         'Product of entry ** coefficient; needs integer coefficients.'
-        return _monomial(self.coefficients, f.values)
+        return _monomial(self.support, f.values)
 
     def __eq__(self, other):
         return (
@@ -95,29 +103,42 @@ def standard_functionals(a, b):
     return out
 
 
-def _orbit_columns(alg, map_name, f, cap):
-    'Walk the orbit of f once: its per-element value columns and its period.'
-    rec = orbit(step_map(alg, map_name), f, cap=cap)
-    return list(zip(*(state.values for state in rec))), rec.period
-
-
-def _means(columns, period):
-    return [sum(column, ZERO) / period for column in columns]
-
-
-def _orbit_aggregate(alg, map_name, f, cap):
-    'Column products birationally, column means piecewise-linearly; and the period.'
-    columns, period = _orbit_columns(alg, map_name, f, cap)
-    if alg.positive_domain:
-        return [prod(column, start=ONE) for column in columns], period
-    return _means(columns, period), period
+def _orbit_aggregate(alg, map_name, f, cap, means=False):
+    """The orbit of f walked once: its per-element column products
+    birationally, or its column means piecewise-linearly or when means;
+    and its period."""
+    step = step_map(alg, map_name)  # refuses an unknown map before its order is read
+    lane = alg.sweep
+    start = None if lane is None else lane.enter(f.values, alg.boundary)
+    if start is None:
+        rec = orbit(step, f, cap=cap)
+        period = rec.period
+        columns = zip(*(state.values for state in rec))
+        if alg.positive_domain and not means:
+            return [prod(column, start=ONE) for column in columns], period
+        return [sum(column, ZERO) / period for column in columns], period
+    poset = f.poset
+    size, stage = poset.size, lane.stage
+    plan = _schedule(poset, getattr(poset, f"{map_name}_order"), [1] * size)
+    if not alg.positive_domain:
+        rec = orbit(lambda ints: tuple(stage(ints, plan, 1)[0]), tuple(start), cap=cap)
+        scale = start[-1] * rec.period
+        return [Rat(sum(column), scale) for column in list(zip(*rec))[:size]], rec.period
+    rec = orbit(
+        lambda pair: tuple(map(tuple, stage(pair, plan, 1)[0])), tuple(map(tuple, start)), cap=cap
+    )
+    nums = list(zip(*(state[0] for state in rec)))[:size]
+    dens = zip(*(state[1] for state in rec))
+    if means:
+        return [sum(map(Rat, n, d), ZERO) / rec.period for n, d in zip(nums, dens)], rec.period
+    return [Rat(prod(n), prod(d)) for n, d in zip(nums, dens)], rec.period
 
 
 def _read(alg, functional, aggregate):
     'The orbit statistic of a functional, from the orbit aggregate.'
     if alg.positive_domain:
-        return _monomial(functional.coefficients, aggregate)
-    return _linear(functional.coefficients, aggregate)
+        return _monomial(functional.support, aggregate)
+    return _linear(functional.support, aggregate)
 
 
 def orbit_statistic(alg, map_name, functional, f, cap=1000):
@@ -189,8 +210,8 @@ def exact_rank(rows):
 
 
 def orbit_average_vector(alg, map_name, f, cap=1000):
-    'Per-element orbit averages of a piecewise-linear start.'
-    return _means(*_orbit_columns(alg, map_name, f, cap))
+    'Per-element orbit averages of a start.'
+    return _orbit_aggregate(alg, map_name, f, cap, means=True)[0]
 
 
 def average_space_rank(alg, map_name, averages, functionals):

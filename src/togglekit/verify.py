@@ -436,6 +436,16 @@ def _nonadjacent_pairs(poset):
 _TOGGLE_CHECKS = ("toggles-are-involutions", "nonadjacent-toggles-commute")
 
 
+def _toggle_failures(toggled, start, pairs):
+    """The elements x that toggling twice does not take back to start, and
+    the nonadjacent pairs whose toggles do not commute at start; each single
+    toggle toggled(start, x) is computed once."""
+    once = [toggled(start, x) for x in range(start.poset.size)]
+    twice = [x for x, g in enumerate(once) if toggled(g, x) != start]
+    swapped = [[x, y] for x, y in pairs if toggled(once[x], y) != toggled(once[y], x)]
+    return twice, swapped
+
+
 def suite_vertex(poset, samples=20, seed=None):
     """Structural invariants: toggles are involutions, toggles at
     non-adjacent elements commute, the piecewise-linear maps restricted
@@ -449,12 +459,7 @@ def suite_vertex(poset, samples=20, seed=None):
     elements = range(poset.size)
 
     def ideal_toggles(i):
-        twice = [x for x in elements if toggle_ideal(toggle_ideal(i, x), x) != i]
-        swapped = [
-            [x, y]
-            for x, y in pairs
-            if toggle_ideal(toggle_ideal(i, x), y) != toggle_ideal(toggle_ideal(i, y), x)
-        ]
+        twice, swapped = _toggle_failures(toggle_ideal, i, pairs)
         return (
             [{"ideal": list(i.indices), "element": x} for x in twice],
             [{"ideal": list(i.indices), "elements": xy} for xy in swapped],
@@ -466,12 +471,7 @@ def suite_vertex(poset, samples=20, seed=None):
     for regime, alg, arrays in _regime_samples(poset, rng, samples):
 
         def array_toggles(f):
-            twice = [x for x in elements if toggle(alg, toggle(alg, f, x), x) != f]
-            swapped = [
-                [x, y]
-                for x, y in pairs
-                if toggle(alg, toggle(alg, f, x), y) != toggle(alg, toggle(alg, f, y), x)
-            ]
+            twice, swapped = _toggle_failures(lambda g, x: toggle(alg, g, x), f, pairs)
             return (
                 _unless(not twice, f, elements=twice),
                 _unless(not swapped, f, pairs=swapped[:3]),

@@ -16,9 +16,9 @@ from togglekit import (
     rowmotion_iterates,
     three_step,
 )
-from togglekit.birational import file_toggle_swap_check, promotion_shift_check
-from togglekit.dynamics import iterate
-from togglekit.posets import PosetError, rectangle_poset, triangle_poset
+from togglekit.birational import file_toggle_swap_check, promotion_shift_check, shear_stages
+from togglekit.dynamics import PArray, iterate
+from togglekit.posets import Poset, PosetError, rectangle_poset, triangle_poset
 from togglekit.rational import ONE, Rat
 from togglekit.sampling import random_polytope_point, random_positive_array, seeded_rng
 
@@ -98,6 +98,22 @@ def test_recombination_round_trips_off_rectangles():
         for f in arrays:
             assert recombine_inverse(alg, recombine(alg, f)) == f
             assert recombine(alg, recombine_inverse(alg, f)) == f
+
+
+def test_shears_ignore_where_the_rc_embedding_sits():
+    # rectangle_poset puts its bottom-left diagonal at 0, where d - base and
+    # d + base agree; the depths must count from wherever it sits.
+    poset = rectangle_poset(3, 4)
+    moved = Poset(
+        poset.size, poset.covers, labels=poset.labels, rc=[(c + 1, r + 1) for c, r in poset.rc]
+    )
+    assert shear_stages(moved) == shear_stages(poset)
+    rng = seeded_rng(59)
+    for alg, arrays in _samples(poset, rng, count=4):
+        for f in arrays:
+            g = PArray(moved, f.values)
+            assert recombine(alg, g).values == recombine(alg, f).values
+            assert recombine_inverse(alg, g).values == recombine_inverse(alg, f).values
 
 
 def test_reciprocity_birational():

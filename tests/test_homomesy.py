@@ -5,6 +5,7 @@ from togglekit import (
     BIRATIONAL,
     PL,
     Functional,
+    PArray,
     exact_rank,
     homomesy_check,
     homomesy_space_rank,
@@ -13,11 +14,19 @@ from togglekit import (
     standard_functionals,
     vertex_from_ideal,
 )
-from togglekit.homomesy import file_functional, orbit_average_vector, pair_functional, step_map
+from togglekit import homomesy
+from togglekit.homomesy import (
+    average_space_rank,
+    file_functional,
+    orbit_average_vector,
+    pair_functional,
+    step_map,
+)
 from togglekit.orbits import orbit
-from togglekit.posets import enumerate_ideals, rectangle_poset
+from togglekit.posets import enumerate_ideals, promotion_ideal, rectangle_poset, rowmotion_ideal
 from togglekit.rational import ONE, Rat
 from togglekit.sampling import random_polytope_point, random_positive_array, seeded_rng
+from togglekit.verify import suite_homomesy
 
 
 def test_pair_functional_coefficients():
@@ -180,6 +189,39 @@ def test_statistics_from_orbit_aggregates_match_per_state_evaluation(alg, map_na
         assert orbit_average_vector(alg, map_name, f) == means
 
 
+def test_homomesy_suite_walks_every_orbit_through_orbit(monkeypatch):
+    # [3]x[3]: a+b = 6 is composite, so the vertex orbits have periods 6
+    # and 2, and a mean that is not divided by its period breaks homomesy.
+    poset = rectangle_poset(3, 3)
+    calls = []
+    walk = homomesy.orbit
+
+    def counted(step, start, cap=1000):
+        rec = walk(step, start, cap=cap)
+        calls.append((type(start), rec.period))
+        return rec
+
+    monkeypatch.setattr(homomesy, "orbit", counted)
+    report = suite_homomesy(poset, samples=3, seed=1)
+    assert report["pass"], report
+    ideals = enumerate_ideals(poset)
+    audited = sum(c["inputs"] for c in report["checks"] if "dimension" in c["check"])
+    # Both maps from each array of both regimes, each vertex and each audit draw.
+    arrays = 2 * 2 * 3
+    assert len(calls) == arrays + 2 * len(ideals) + audited
+    # Every start the lanes take is walked in lane states, not as a PArray.
+    assert {kind for kind, _ in calls} == {tuple}
+    vertex_periods = [period for _, period in calls[arrays : arrays + 2 * len(ideals)]]
+    steps = (rowmotion_ideal, promotion_ideal)
+    assert vertex_periods == [orbit(step, i).period for i in ideals for step in steps]
+    assert set(vertex_periods) == {2, 6}
+    calls.clear()
+    # A birational start that is not positive is declined: the step_map walk.
+    start = PArray(poset, [Rat(-(k + 1), 7) for k in range(poset.size)])
+    assert orbit_statistic(BIRATIONAL, "rowmotion", file_functional(3, 3, 1), start)[1] == 6
+    assert calls == [(PArray, 6)]
+
+
 def test_orbit_statistics_match_single_calls():
     poset = grid22()
     g = bir_array(poset, 1, 2, 3, 4)
@@ -243,6 +285,33 @@ def test_homomesy_space_rank_needs_two_samples():
     poset = grid22()
     with pytest.raises(ValueError):
         homomesy_space_rank(PL, "rowmotion", [pl_array(poset, 0, 0, 0, 0)], [])
+
+
+def unit(size, x):
+    return [ONE if y == x else Rat(0) for y in range(size)]
+
+
+def test_rank_audit_needs_two_starts_and_counts_the_first_difference():
+    with pytest.raises(ValueError, match="two sample starts"):
+        average_space_rank(PL, "rowmotion", [unit(3, 0)], [])
+    two = average_space_rank(PL, "rowmotion", [unit(3, 0), unit(3, 1)], [])
+    assert (two["samples"], two["nullspace_dim"], two["stable"]) == (2, 2, True)
+    # Only the first start differs from the base: the rank is 1, not 0.
+    first = average_space_rank(PL, "rowmotion", [unit(3, 0)] + [unit(3, 1)] + [unit(3, 0)] * 4, [])
+    assert (first["nullspace_dim"], first["stable"]) == (2, True)
+
+
+@pytest.mark.parametrize("count, half", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (6, 3), (7, 3)])
+def test_rank_audit_calls_the_first_half_of_the_differences_stable(count, half):
+    # count differences: p copies of e1, then e2.  The first half reaches
+    # the full rank exactly when an e2 falls in it, that is when p < half.
+    zero = [Rat(0)] * 3
+
+    def stable(p):
+        averages = [zero] + [unit(3, 0)] * p + [unit(3, 1)] * (count - p)
+        return average_space_rank(PL, "rowmotion", averages, [])["stable"]
+
+    assert [stable(p) for p in range(count)] == [p < half for p in range(count)]
 
 
 def test_functional_equality_and_repr():

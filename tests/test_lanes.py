@@ -20,8 +20,14 @@ they must be the reference's arrays, entry for entry, and compare equal
 exactly when the reference's arrays do, also where stages over one order
 object continue one run and so share one walk.
 
-Last come negative controls: mutants of a lane's enter or stage, each of
-which the same comparison must reject on a fixed list of inputs.
+The homomesy orbit walks run in the same lanes, over frozen lane states;
+the orbit aggregate, its period, the functionals' statistics and the
+average vector must be those of the reference walk over step_map, and a
+walk past cap must raise the same OrbitError.
+
+Last come negative controls: mutants of a lane's enter or stage, and of
+the orbit aggregate, each of which the same comparison must reject on a
+fixed list of inputs.
 """
 
 import inspect
@@ -47,9 +53,11 @@ from togglekit import (
     rowmotion,
     rowmotion_inverse,
 )
-from togglekit import birational, dynamics
+from togglekit import Functional, birational, dynamics, homomesy
 from togglekit.birational import _depths, shear_stages
 from togglekit.dynamics import MAX_SCHEDULES, Lane, _schedule, iterate, walk_program, walks
+from togglekit.homomesy import orbit_average_vector, orbit_statistics
+from togglekit.orbits import OrbitError
 from togglekit.verify import suite_recombination
 from togglekit.posets import Poset, PosetError, rectangle_poset, triangle_poset
 from togglekit.rational import ONE, Rat
@@ -531,6 +539,57 @@ def test_shared_order_walks_match_reference_on_unchecked_arrays(poset, data):
     assert_walks_match_reference(alg, f, shared_chain_sets(data.draw, poset))
 
 
+def orbit_outcome(alg, map_name, f, functionals, cap):
+    """The orbit aggregate and period of f, the functionals' statistics and
+    the average vector; or the OrbitError message, or ZeroDivisionError."""
+    try:
+        return (
+            homomesy._orbit_aggregate(alg, map_name, f, cap),
+            orbit_statistics(alg, map_name, functionals, f, cap=cap),
+            orbit_average_vector(alg, map_name, f, cap=cap),
+        )
+    except OrbitError as exc:
+        return str(exc)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def orbit_lane_matches_reference(alg, f, functionals, cap):
+    'Rowmotion, and promotion where f.poset has an rc embedding.'
+    maps = ["rowmotion"] if f.poset.rc is None else ["rowmotion", "promotion"]
+    return all(
+        orbit_outcome(alg, m, f, functionals, cap)
+        == orbit_outcome(reference(alg), m, f, functionals, cap)
+        for m in maps
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_orbit_lanes_match_the_step_map_walk(data):
+    """Orbits of every regime, boundary and kind of start, at caps on
+    either side of the period: a birational start that is not positive
+    is declined and walks the reference, raising where it does."""
+    kind = data.draw(st.sampled_from(["pl", "birational", "unchecked"]))
+    if kind == "pl":
+        ends = data.draw(st.none() | st.tuples(rationals, rationals))
+        alg = PL if ends is None else pl_algebra(*ends)
+        f = arrays(data.draw, alg, rationals)
+    elif kind == "birational":
+        ends = data.draw(st.none() | st.tuples(positive_rationals, positive_rationals))
+        alg = BIRATIONAL if ends is None else birational_algebra(*ends)
+        f = arrays(data.draw, alg, positive_rationals)
+    else:
+        alg, f = unchecked(data.draw, data.draw(st.sampled_from(POSETS)))
+    exponents = st.lists(st.integers(-2, 2), min_size=f.poset.size, max_size=f.poset.size)
+    drawn = data.draw(st.lists(exponents, max_size=3))
+    functionals = [Functional(f"random{k}", c) for k, c in enumerate(drawn)]
+    # Small caps: birational orbits on WIDE[1] do not close, and their
+    # numbers grow quickly.
+    cap = data.draw(st.integers(1, 12))
+    assert orbit_lane_matches_reference(alg, f, functionals, cap)
+
+
 # Negative controls: mutants of the lanes' parts, each installed in a copy
 # of a lane, that the lane-vs-reference comparison must reject on a fixed
 # list of inputs, without Hypothesis.
@@ -609,3 +668,34 @@ def test_lane_comparison_rejects_each_mutant(regime, part, mutate):
         mutant.sweep = alg.sweep._replace(**{part: mutate(getattr(alg.sweep, part))})
         rejected += not matches_reference(mutant, f, times)
     assert rejected
+
+
+# Mutant name -> a mutation of homomesy._orbit_aggregate.
+ORBIT_MUTANTS = {
+    "pl-lane-period-off-by-one": rewrite("[:size]], rec.period", "[:size]], rec.period + 1"),
+    "bir-lane-period-off-by-one": rewrite(
+        "prod(d)) for n, d in zip(nums, dens)], rec.period",
+        "prod(d)) for n, d in zip(nums, dens)], rec.period - 1",
+    ),
+    "pl-lane-mean-times-period": rewrite("start[-1] * rec.period", "Rat(start[-1], rec.period)"),
+    "reference-mean-times-period": rewrite("ZERO) / period", "ZERO) * period"),
+}
+
+
+def orbit_control_inputs():
+    'The control inputs of both regimes, with two functionals, at a cap past every period.'
+    for regime in CONTROL_ALGEBRAS:
+        for alg, f, _ in control_inputs(regime):
+            size = f.poset.size
+            fns = [Functional("first", [1] + [0] * (size - 1)), Functional("all", [1] * size)]
+            yield alg, f, fns, 12
+
+
+def test_orbit_lanes_match_reference_on_the_control_inputs():
+    assert all(orbit_lane_matches_reference(*args) for args in orbit_control_inputs())
+
+
+@pytest.mark.parametrize("mutate", ORBIT_MUTANTS.values(), ids=ORBIT_MUTANTS.keys())
+def test_orbit_lane_comparison_rejects_each_mutant(monkeypatch, mutate):
+    monkeypatch.setattr(homomesy, "_orbit_aggregate", mutate(homomesy._orbit_aggregate))
+    assert not all(orbit_lane_matches_reference(*args) for args in orbit_control_inputs())
