@@ -29,7 +29,7 @@ from .serialize import (
     tableau_to_json,
 )
 from .tableaux import TableauError, tableau_promotion, tableau_to_array, tableau_to_pattern
-from .verify import SUITES, suite_bridge
+from .verify import SUITES
 
 TWO_BY_TWO_ALIASES = {"w": (1, 1), "x": (2, 1), "y": (1, 2), "z": (2, 2)}
 
@@ -171,7 +171,7 @@ def cmd_verify(args):
             raise ValueError("the bridge suite does not take --start")
         if args.shape:
             kwargs["shapes"] = (_parse_shape(args.shape, "AxBxN"),)
-        report = suite_bridge(**kwargs)
+        report = runner(**kwargs)
     else:
         poset = _resolve_poset(args)
         if args.start:

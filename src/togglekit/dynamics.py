@@ -31,6 +31,11 @@ their times, each stage's reads going to its own state), and each walk's
 schedule is looked up there.  walks(alg, f, program) then only enters f,
 runs the compiled walks and picks one state per chain; it never leaves,
 since lane states compare exactly as the walked arrays would.
+orbit_aggregate(alg, map_name, f) is the third driver: one enter, then
+orbits.orbit over frozen lane states, each step one stage of a _schedule
+plan of one sweep of the map's order; each element's orbit aggregate is
+one Rat read from ints (PL: column sum over D * period; birational: the
+column's numerator product over its denominator product).
 
 - The piecewise-linear lane scales the values and the boundary by D, the
   lcm of all their denominators.  max, min, + and - map the lattice
@@ -69,8 +74,9 @@ shape, and single toggles always use _toggled_value.
 
 from collections import namedtuple
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
+from .orbits import orbit
 from .posets import OrderIdeal, PosetError, promotion_ideal, rowmotion_ideal
 from .rational import ONE, ZERO, Rat
 
@@ -107,9 +113,9 @@ class ToggleAlgebra:
         self.bottom_value = bottom_value
         self.top_value = top_value
         self.positive_domain = positive_domain
-        # The integer Lane that iterate and walks run, or None.  With no
-        # lane, and on input the lane declines, they run the reference
-        # loop _walk.
+        # The integer Lane that iterate, walks and orbit_aggregate run, or
+        # None.  With no lane, and on input the lane declines, they run
+        # the reference loops.
         self.sweep = sweep
 
     @property
@@ -186,7 +192,7 @@ def _schedule(poset, order, *times):
 
 
 class Lane(namedtuple("Lane", "enter stage leave")):
-    """An exact integer lane, shared by iterate and walks.
+    """An exact integer lane, shared by iterate, walks and orbit_aggregate.
 
     enter(values, alg.boundary) -> the start state, or None to decline; a
     state holds the values at slots 0..size-1 and the bottom and top
@@ -534,6 +540,35 @@ def step_map(alg, map_name):
     except KeyError:
         raise PosetError(f"unknown map {map_name!r}; pick rowmotion or promotion") from None
     return lambda f: stepper(alg, f)
+
+
+def orbit_aggregate(alg, map_name, f, cap=1000):
+    """The per-element column products (birational) or column means (PL)
+    of f's orbit under the named map, and its period: walked in alg's lane,
+    or over step_map when alg has none or its lane declines f."""
+    step = step_map(alg, map_name)  # refuses an unknown map before its order is read
+    lane = alg.sweep
+    start = None if lane is None else lane.enter(f.values, alg.boundary)
+    if start is None:
+        rec = orbit(step, f, cap=cap)
+        period = rec.period
+        columns = zip(*(state.values for state in rec))
+        if alg.positive_domain:
+            return [prod(column, start=ONE) for column in columns], period
+        return [sum(column, ZERO) / period for column in columns], period
+    poset = f.poset
+    size, stage = poset.size, lane.stage
+    plan = _schedule(poset, getattr(poset, f"{map_name}_order"), [1] * size)
+    if not alg.positive_domain:
+        rec = orbit(lambda ints: tuple(stage(ints, plan, 1)[0]), tuple(start), cap=cap)
+        scale = start[-1] * rec.period
+        return [Rat(sum(column), scale) for column in list(zip(*rec))[:size]], rec.period
+    rec = orbit(
+        lambda pair: tuple(map(tuple, stage(pair, plan, 1)[0])), tuple(map(tuple, start)), cap=cap
+    )
+    nums = list(zip(*(state[0] for state in rec)))[:size]
+    dens = zip(*(state[1] for state in rec))
+    return [Rat(prod(n), prod(d)) for n, d in zip(nums, dens)], rec.period
 
 
 def vertex_from_ideal(ideal):

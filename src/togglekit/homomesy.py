@@ -15,20 +15,12 @@ walked once, its columns are aggregated once, and every functional is
 read off the aggregate with one sparse dot product or monomial over its
 support, the nonzero (index, coefficient) pairs it stores once.
 
-In an algebra's integer lane the orbit is walked in frozen lane states:
-the start is entered once, each step runs one _schedule plan of one
-sweep of the map's order, and orbits.orbit hashes tuples of ints.  The
-aggregate is then read from ints, one Rat per element: piecewise-
-linearly a column's int sum over D * period, birationally the product
-of a column's numerators over the product of its denominators.  Lane
-states compare exactly as the walked arrays would, so the period and
-both OrbitErrors are those of the reference walk, orbit over step_map,
-which an algebra with no lane, or a start its lane declines, still runs.
+The orbit walk and its aggregate are dynamics.orbit_aggregate's.
 """
 
 from math import prod
 
-from .dynamics import _schedule, step_map
+from .dynamics import orbit_aggregate, step_map
 from .orbits import orbit
 from .posets import rectangle_poset
 from .rational import ONE, Rat, ZERO, as_integer
@@ -103,37 +95,6 @@ def standard_functionals(a, b):
     return out
 
 
-def _orbit_aggregate(alg, map_name, f, cap, means=False):
-    """The orbit of f walked once: its per-element column products
-    birationally, or its column means piecewise-linearly or when means;
-    and its period."""
-    step = step_map(alg, map_name)  # refuses an unknown map before its order is read
-    lane = alg.sweep
-    start = None if lane is None else lane.enter(f.values, alg.boundary)
-    if start is None:
-        rec = orbit(step, f, cap=cap)
-        period = rec.period
-        columns = zip(*(state.values for state in rec))
-        if alg.positive_domain and not means:
-            return [prod(column, start=ONE) for column in columns], period
-        return [sum(column, ZERO) / period for column in columns], period
-    poset = f.poset
-    size, stage = poset.size, lane.stage
-    plan = _schedule(poset, getattr(poset, f"{map_name}_order"), [1] * size)
-    if not alg.positive_domain:
-        rec = orbit(lambda ints: tuple(stage(ints, plan, 1)[0]), tuple(start), cap=cap)
-        scale = start[-1] * rec.period
-        return [Rat(sum(column), scale) for column in list(zip(*rec))[:size]], rec.period
-    rec = orbit(
-        lambda pair: tuple(map(tuple, stage(pair, plan, 1)[0])), tuple(map(tuple, start)), cap=cap
-    )
-    nums = list(zip(*(state[0] for state in rec)))[:size]
-    dens = zip(*(state[1] for state in rec))
-    if means:
-        return [sum(map(Rat, n, d), ZERO) / rec.period for n, d in zip(nums, dens)], rec.period
-    return [Rat(prod(n), prod(d)) for n, d in zip(nums, dens)], rec.period
-
-
 def _read(alg, functional, aggregate):
     'The orbit statistic of a functional, from the orbit aggregate.'
     if alg.positive_domain:
@@ -147,13 +108,13 @@ def orbit_statistic(alg, map_name, functional, f, cap=1000):
     Piecewise-linear: exact mean of the linear form over the orbit.
     Birational: orbit product of the monomial.
     """
-    aggregate, period = _orbit_aggregate(alg, map_name, f, cap)
+    aggregate, period = orbit_aggregate(alg, map_name, f, cap)
     return _read(alg, functional, aggregate), period
 
 
 def orbit_statistics(alg, map_name, functionals, f, cap=1000):
     'All the functionals statistics of one start, walking its orbit once.'
-    aggregate, _ = _orbit_aggregate(alg, map_name, f, cap)
+    aggregate, _ = orbit_aggregate(alg, map_name, f, cap)
     return {fn.name: _read(alg, fn, aggregate) for fn in functionals}
 
 
@@ -210,8 +171,11 @@ def exact_rank(rows):
 
 
 def orbit_average_vector(alg, map_name, f, cap=1000):
-    'Per-element orbit averages of a start.'
-    return _orbit_aggregate(alg, map_name, f, cap, means=True)[0]
+    'Per-element orbit averages of a start; birationally over the step_map walk.'
+    if not alg.positive_domain:
+        return orbit_aggregate(alg, map_name, f, cap)[0]
+    rec = orbit(step_map(alg, map_name), f, cap=cap)
+    return [sum(column, ZERO) / rec.period for column in zip(*(state.values for state in rec))]
 
 
 def average_space_rank(alg, map_name, averages, functionals):

@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
 
+import inspect
+import textwrap
+
 from togglekit import BIRATIONAL, PL, Rat
 from togglekit.posets import rectangle_poset
 
@@ -23,3 +26,17 @@ def grid22():
 
 def grid23():
     return rectangle_poset(2, 3)
+
+
+def rewrite(old, new):
+    """A mutation that compiles a function again, with the first old in
+    its source replaced by new, over the globals of its own module."""
+
+    def mutate(part):
+        source = textwrap.dedent(inspect.getsource(part))
+        assert old in source
+        scope = {}
+        exec(source.replace(old, new, 1), part.__globals__, scope)
+        return scope[part.__name__]
+
+    return mutate

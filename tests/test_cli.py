@@ -16,7 +16,7 @@ from test_golden_reports import _truncated_promotion
 
 from togglekit import cli, verify
 from togglekit.cli import main
-from togglekit.posets import rectangle_poset, triangle_poset
+from togglekit.posets import Poset, rectangle_poset, triangle_poset
 from togglekit.verify import SUITES
 from togglekit.serialize import dumps_canonical, poset_to_json
 
@@ -112,6 +112,17 @@ def test_orbit_element_labels_on_larger_grids(capsys):
     assert code == 0
     assert out.startswith("# elements: 1.1,2.1,1.2,2.2,1.3,2.3\n")
     assert "{1.1,2.1}" in out
+
+
+def test_orbit_start_takes_plain_labels_and_indices(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    chain = Poset(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])
+    path.write_text(dumps_canonical(poset_to_json(chain)))
+    code, out, _ = run_cli(
+        capsys, "orbit", "--regime", "combinatorial", "--poset", str(path), "--start", "a,1"
+    )
+    assert code == 0
+    assert out == "# elements: a,b,c\n{a,b}\n{a,b,c}\n{}\n{a}\nperiod: 4\n"
 
 
 def test_orbit_rejects_bad_start_length(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import bir_array, grid22, grid23, pl_array
+from helpers import bir_array, grid22, grid23, pl_array, rewrite
 from togglekit import (
     BIRATIONAL,
     PL,
@@ -14,11 +14,10 @@ from togglekit import (
     standard_functionals,
     vertex_from_ideal,
 )
-from togglekit import homomesy
+from togglekit import dynamics, homomesy
 from togglekit.homomesy import (
     average_space_rank,
     file_functional,
-    orbit_average_vector,
     pair_functional,
     step_map,
 )
@@ -148,6 +147,24 @@ def test_homomesy_check_constancy():
         assert report["constant"] == "1"
 
 
+def test_homomesy_check_reports_each_start_that_disagrees_with_the_first():
+    # The single entry at (1,1) is not homomesic under PL rowmotion.
+    poset = grid22()
+    rng = seeded_rng(1)
+    starts = [PL.array(poset, random_polytope_point(poset, rng)) for _ in range(6)]
+    fn = Functional("entry(1,1)", unit(poset.size, poset.index_of((1, 1))))
+    report = homomesy_check(PL, "rowmotion", fn, starts)
+    assert (report["pass"], report["constant"], report["samples"]) == (False, "3/40", 6)
+    assert report["violations"] == [
+        {"start": ["3/20", "3/4", "7/10", "3/4"], "statistic": "19/80"},
+        {"start": ["1", "1", "1", "1"], "statistic": "1/4"},
+        {"start": ["3/4", "3/4", "3/4", "3/4"], "statistic": "1/4"},
+        {"start": ["19/20", "19/20", "19/20", "19/20"], "statistic": "1/4"},
+        {"start": ["7/20", "9/10", "7/20", "9/10"], "statistic": "9/80"},
+    ]
+    assert str(orbit_statistic(PL, "rowmotion", fn, starts[0])[0]) == report["constant"]
+
+
 def test_homomesy_check_counts_an_iterator_of_starts():
     poset = grid23()
     rng = seeded_rng(79)
@@ -159,9 +176,7 @@ def test_homomesy_check_counts_an_iterator_of_starts():
     assert from_iterator["samples"] == 12
 
 
-@pytest.mark.parametrize("alg", [PL, BIRATIONAL], ids=["pl", "birational"])
-@pytest.mark.parametrize("map_name", ["rowmotion", "promotion"])
-def test_statistics_from_orbit_aggregates_match_per_state_evaluation(alg, map_name):
+def assert_statistics_match_per_state_evaluation(alg, map_name):
     # Arbitrary integer coefficients, zeros and negative exponents included.
     poset = grid23()
     rng = seeded_rng(5)
@@ -186,7 +201,23 @@ def test_statistics_from_orbit_aggregates_match_per_state_evaluation(alg, map_na
             assert table[fn.name] == want
             assert orbit_statistic(alg, map_name, fn, f) == (want, len(states))
         means = [sum(column) / len(states) for column in zip(*(s.values for s in states))]
-        assert orbit_average_vector(alg, map_name, f) == means
+        assert homomesy.orbit_average_vector(alg, map_name, f) == means
+
+
+@pytest.mark.parametrize("alg", [PL, BIRATIONAL], ids=["pl", "birational"])
+@pytest.mark.parametrize("map_name", ["rowmotion", "promotion"])
+def test_statistics_from_orbit_aggregates_match_per_state_evaluation(alg, map_name):
+    assert_statistics_match_per_state_evaluation(alg, map_name)
+
+
+def test_per_state_evaluation_rejects_a_birational_mean_times_the_period(monkeypatch):
+    # Negative control: birational averages walk the step_map orbit in
+    # homomesy itself, so only this comparison sees its division.  On
+    # [2]x[3] the period is 5.
+    mutate = rewrite("ZERO) / rec.period", "ZERO) * rec.period")
+    monkeypatch.setattr(homomesy, "orbit_average_vector", mutate(homomesy.orbit_average_vector))
+    with pytest.raises(AssertionError):
+        assert_statistics_match_per_state_evaluation(BIRATIONAL, "rowmotion")
 
 
 def test_homomesy_suite_walks_every_orbit_through_orbit(monkeypatch):
@@ -194,14 +225,14 @@ def test_homomesy_suite_walks_every_orbit_through_orbit(monkeypatch):
     # and 2, and a mean that is not divided by its period breaks homomesy.
     poset = rectangle_poset(3, 3)
     calls = []
-    walk = homomesy.orbit
+    walk = dynamics.orbit
 
     def counted(step, start, cap=1000):
         rec = walk(step, start, cap=cap)
         calls.append((type(start), rec.period))
         return rec
 
-    monkeypatch.setattr(homomesy, "orbit", counted)
+    monkeypatch.setattr(dynamics, "orbit", counted)
     report = suite_homomesy(poset, samples=3, seed=1)
     assert report["pass"], report
     ideals = enumerate_ideals(poset)
@@ -319,3 +350,4 @@ def test_functional_equality_and_repr():
     assert fn == Functional("demo", (Rat(1), Rat(0)))
     assert fn != Functional("other", (Rat(1), Rat(0)))
     assert "demo" in repr(fn)
+    assert len({fn, Functional("demo", (1, 0)), Functional("other", (1, 0))}) == 2

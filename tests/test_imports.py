@@ -4,9 +4,12 @@ A fresh interpreter imports the CLI; every module that import loads must
 be part of togglekit or of the standard library, so an optional
 dependency can only ever be imported lazily, inside the command that
 needs it.  The package exports exactly its __all__, and the README's
-library example prints what its comment says.
+library example prints what its comment says.  Only dynamics drives an
+integer lane: no other module imports its private names or calls a
+lane's enter, stage or leave.
 """
 
+import ast
 import contextlib
 import io
 import os
@@ -17,7 +20,9 @@ from pathlib import Path
 
 import togglekit
 
-SRC = str(Path(togglekit.__file__).resolve().parents[1])
+PACKAGE = Path(togglekit.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
+LANE_PARTS = {"enter", "stage", "leave"}
 README = Path(__file__).resolve().parents[1] / "README.md"
 PROBE = (
     "import sys\n"
@@ -57,3 +62,28 @@ def test_readme_library_example_prints_what_its_comments_say():
     with contextlib.redirect_stdout(printed):
         exec(compile(block, str(README), "exec"), {})
     assert printed.getvalue().splitlines() == said
+
+
+def lane_crossings(path):
+    'Private names a module imports from dynamics, and the lane parts it calls.'
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("dynamics"):
+            found += [f"imports {a.name}" for a in node.names if a.name.startswith("_")]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in LANE_PARTS
+        ):
+            found.append(f"line {node.lineno} calls .{node.func.attr}(")
+    return found
+
+
+def test_only_dynamics_drives_a_lane():
+    crossings = {
+        path.relative_to(PACKAGE).as_posix(): lane_crossings(path)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != PACKAGE / "dynamics.py"
+    }
+    assert "homomesy.py" in crossings
+    assert {name: found for name, found in crossings.items() if found} == {}

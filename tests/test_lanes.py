@@ -30,14 +30,13 @@ the orbit aggregate, each of which the same comparison must reject on a
 fixed list of inputs.
 """
 
-import inspect
 import random
-import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import rewrite
 from togglekit import (
     BIRATIONAL,
     PL,
@@ -544,7 +543,7 @@ def orbit_outcome(alg, map_name, f, functionals, cap):
     the average vector; or the OrbitError message, or ZeroDivisionError."""
     try:
         return (
-            homomesy._orbit_aggregate(alg, map_name, f, cap),
+            dynamics.orbit_aggregate(alg, map_name, f, cap),
             orbit_statistics(alg, map_name, functionals, f, cap=cap),
             orbit_average_vector(alg, map_name, f, cap=cap),
         )
@@ -617,20 +616,6 @@ def matches_reference(alg, f, times):
     return True
 
 
-def rewrite(old, new):
-    """A mutation that compiles a lane part again, with the first old in
-    its source replaced by new, over the globals of its own module."""
-
-    def mutate(part):
-        source = textwrap.dedent(inspect.getsource(part))
-        assert old in source
-        scope = {}
-        exec(source.replace(old, new, 1), part.__globals__, scope)
-        return scope[part.__name__]
-
-    return mutate
-
-
 def wrong_top(enter):
     return lambda values, boundary: enter(values, (boundary[0], boundary[1] + 1))
 
@@ -670,7 +655,7 @@ def test_lane_comparison_rejects_each_mutant(regime, part, mutate):
     assert rejected
 
 
-# Mutant name -> a mutation of homomesy._orbit_aggregate.
+# Mutant name -> a mutation of dynamics.orbit_aggregate.
 ORBIT_MUTANTS = {
     "pl-lane-period-off-by-one": rewrite("[:size]], rec.period", "[:size]], rec.period + 1"),
     "bir-lane-period-off-by-one": rewrite(
@@ -697,5 +682,7 @@ def test_orbit_lanes_match_reference_on_the_control_inputs():
 
 @pytest.mark.parametrize("mutate", ORBIT_MUTANTS.values(), ids=ORBIT_MUTANTS.keys())
 def test_orbit_lane_comparison_rejects_each_mutant(monkeypatch, mutate):
-    monkeypatch.setattr(homomesy, "_orbit_aggregate", mutate(homomesy._orbit_aggregate))
+    mutant = mutate(dynamics.orbit_aggregate)
+    for module in (dynamics, homomesy):
+        monkeypatch.setattr(module, "orbit_aggregate", mutant)
     assert not all(orbit_lane_matches_reference(*args) for args in orbit_control_inputs())

@@ -26,6 +26,7 @@ def test_order_polytope_membership():
     assert in_order_polytope(pl_array(poset, "1/10", "1/5", "3/10", "2/5"))
     assert not in_order_polytope(pl_array(poset, "1/5", "1/10", "3/10", "2/5"))
     assert not in_order_polytope(pl_array(poset, 0, 0, 0, 2))
+    assert not in_order_polytope(pl_array(poset, "-1/10", 0, 0, 0))
 
 
 def test_chain_polytope_membership():

@@ -172,6 +172,15 @@ def test_order_ideal_validation():
     assert OrderIdeal.from_mask(p, 0b0011) == ideal
 
 
+def test_order_ideal_reads_as_a_set_of_labelled_elements():
+    p = rectangle_poset(2, 3)
+    ideal = OrderIdeal(p, [0, 1, 2])
+    assert ideal.members() == ((1, 1), (2, 1), (1, 2))
+    assert (len(ideal), list(ideal), repr(ideal)) == (3, [0, 1, 2], "{(1, 1),(2, 1),(1, 2)}")
+    assert (len(OrderIdeal(p, [])), repr(OrderIdeal(p, []))) == (0, "{}")
+    assert len(p) == 6
+
+
 @pytest.mark.parametrize("mask", [1 << 4, 1 << 10, 0b0011 | 1 << 7, -1, -4])
 def test_masks_with_bits_outside_the_poset_are_refused(mask):
     p = rectangle_poset(2, 2)

@@ -236,6 +236,8 @@ def test_tableau_equality_and_repr():
     assert T != Tableau([[1, 2, 2], [3, 4, 5]], 5)
     assert "Tableau" in repr(T)
     assert "GtPattern" in repr(tableau_to_pattern(T))
+    same = tableau_to_pattern(Tableau([[1, 2, 2], [3, 5, 5]], 5))
+    assert len({tableau_to_pattern(T), same}) == 1
 
 
 @pytest.mark.parametrize("shape", [*BRIDGE_SHAPES, (1, 1, 2), (3, 2, 7), (4, 3, 6), (2, 4, 9)])
