@@ -101,10 +101,7 @@ def _parse_start(poset, regime, text):
                     f"it holds {labels[x]} but not {labels[missing[0]]}, which {labels[x]} covers"
                 )
         return OrderIdeal(poset, members)
-    values = [parse_rat(t) for t in text.split(",")]
-    if len(values) != poset.size:
-        raise ValueError(f"{len(values)} values for {poset.size} elements")
-    return values
+    return [parse_rat(t) for t in text.split(",")]
 
 
 def _format_values(values):

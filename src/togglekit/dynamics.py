@@ -20,9 +20,10 @@ walks: iterate(alg, f, order, times) reads entry x after times[x] sweeps
 of order.  pl_algebra and birational_algebra put an exact integer Lane
 in the algebra's sweep slot, in three parts: enter puts f's values and
 alg.boundary into one int state (or declines), stage runs one walk's
-toggle loop in that state, and leave builds one rational per read entry,
-keeping f's own values elsewhere.  iterate calls the lane itself:
-enter, one _schedule plan, one stage, leave.
+toggle loop in that state, and leave(state, reads) returns one rational
+per entry of reads, in order.  iterate calls the lane itself: enter, one
+_schedule plan, one stage, leave, and writes what leave returns over a
+copy of f.values.
 Several walks from one f go in two steps.  walk_program(poset, *chains)
 compiles chains of (order, times) stages once: chains that start with
 the same stage objects share that run, stages that continue one run over
@@ -77,7 +78,7 @@ from functools import reduce
 from math import gcd, lcm, prod
 
 from .orbits import orbit
-from .posets import OrderIdeal, PosetError, promotion_ideal, rowmotion_ideal
+from .posets import OrderIdeal, PosetError, _is_int, promotion_ideal, rowmotion_ideal
 from .rational import ONE, ZERO, Rat
 
 # Most (order, times) plans _schedule keeps per poset; past it the cache
@@ -200,8 +201,8 @@ class Lane(namedtuple("Lane", "enter stage leave")):
     and anything else leave needs (the PL scale D) past them.
     stage(state, plan, count) -> the count states one _schedule plan of
     count times vectors reads, one per vector;
-    leave(values, start, state, reads) -> values with the entries in
-    reads rebuilt from state.
+    leave(state, reads) -> one rational per entry of reads, in order, which
+    iterate writes over a copy of f.values.
     """
 
     __slots__ = ()
@@ -242,19 +243,9 @@ def _pl_stage(ints, plan, count):
     return outs
 
 
-def _pl_leave(values, start, ints, reads):
-    # Entries stay on a few lattice points, so each point becomes a
-    # rational once; the input values seed the table.
+def _pl_leave(ints, reads):
     den = ints[-1]
-    rats = dict(zip(start, values))
-    out = list(values)
-    for x in reads:
-        n = ints[x]
-        r = rats.get(n)
-        if r is None:
-            r = rats[n] = Rat(n, den)
-        out[x] = r
-    return out
+    return [Rat(ints[x], den) for x in reads]
 
 
 def _birational_enter(values, boundary):
@@ -295,12 +286,9 @@ def _birational_stage(state, plan, count):
     return outs
 
 
-def _birational_leave(values, start, state, reads):
+def _birational_leave(state, reads):
     nums, dens = state
-    out = list(values)
-    for x in reads:
-        out[x] = Rat(nums[x], dens[x])
-    return out
+    return [Rat(nums[x], dens[x]) for x in reads]
 
 
 def pl_algebra(bottom=ZERO, top=ONE):
@@ -394,8 +382,8 @@ def _toggled_value(alg, poset, values, boundary, x):
 def toggle(alg, f, x):
     'Toggle one element: replace f(x) using its neighbours in the augmented poset.'
     poset = f.poset
-    if not 0 <= x < poset.size:
-        raise PosetError(f"element index {x} out of range")
+    if (type(x) is not int and not _is_int(x)) or not 0 <= x < poset.size:
+        raise PosetError(f"element index {x!r} out of range")
     values = list(f.values)
     values[x] = _toggled_value(alg, poset, values, alg.boundary, x)
     return f._replace(values)
@@ -423,7 +411,10 @@ def iterate(alg, f, order, times):
     plan = _schedule(f.poset, order, times)
     (walked,) = lane.stage(start, plan, 1)
     reads = [x for _, (xs,) in plan for x in xs]
-    return f._replace(lane.leave(f.values, start, walked, reads))
+    values = list(f.values)
+    for x, v in zip(reads, lane.leave(walked, reads)):
+        values[x] = v
+    return f._replace(values)
 
 
 class WalkProgram(namedtuple("WalkProgram", "poset steps results")):

@@ -123,7 +123,11 @@ class Poset:
             labels = _tuple(labels, "labels")
             if len(labels) != size:
                 raise PosetError(f"{len(labels)} labels for {size} elements")
-            if len(set(labels)) != size:
+            try:
+                distinct = len(set(labels))
+            except TypeError:
+                raise PosetError("labels must be hashable") from None
+            if distinct != size:
                 raise PosetError("labels must be distinct")
         self.labels = labels
         if rc is not None:
@@ -234,8 +238,8 @@ class Poset:
     def file_members(self, index):
         'Elements of the index-th file, counting from 1 at the left.'
         files = self.files
-        if not 1 <= index <= len(files):
-            raise PosetError(f"file index {index} outside 1..{len(files)}")
+        if (type(index) is not int and not _is_int(index)) or not 1 <= index <= len(files):
+            raise PosetError(f"file index {index!r} outside 1..{len(files)}")
         return files[index - 1]
 
     @cached_property
@@ -455,8 +459,9 @@ def toggle_ideal(ideal, x):
     lower cover outside.
     """
     poset = ideal.poset
-    if not 0 <= x < poset.size:
-        raise PosetError(f"element index {x} out of range")
+    # A plain int pays one type compare; bools and floats are refused.
+    if (type(x) is not int and not _is_int(x)) or not 0 <= x < poset.size:
+        raise PosetError(f"element index {x!r} out of range")
     mask = pybitops.toggle(ideal.mask, poset.lower_masks[x], poset.upper_masks[x], 1 << x)
     k = _position(poset, mask)
     if k is None:

@@ -49,15 +49,9 @@ def _check_poset_json(obj):
         raise PosetError("poset size must be an integer")
     if obj["size"] > MAX_POSET_SIZE:
         raise PosetError(f"poset size {obj['size']} is above the limit of {MAX_POSET_SIZE}")
-    covers = obj["covers"]
-    if not isinstance(covers, list) or not all(_is_int_list(c, 2) for c in covers):
-        raise PosetError("poset covers must be a list of [lower, upper] index pairs")
     labels = obj["labels"]
     if not isinstance(labels, list) or not all(_is_label(lab) for lab in labels):
         raise PosetError("poset labels must be strings, integers, or lists of them")
-    rc = obj.get("rc")
-    if rc is not None and not (isinstance(rc, list) and all(_is_int_list(p, 2) for p in rc)):
-        raise PosetError("poset rc must be a list of [column, rank] integer pairs")
     shape = obj.get("rectangle")
     if shape is not None and not _is_int_list(shape, 2):
         raise PosetError("poset rectangle must be a pair of integers")
@@ -81,7 +75,7 @@ def poset_from_json(obj):
     shape = obj.get("rectangle")
     poset = Poset(
         obj["size"],
-        [tuple(pair) for pair in obj["covers"]],
+        obj["covers"],
         labels=[_label_from_json(lab) for lab in obj["labels"]],
         rc=obj.get("rc"),
     )
@@ -133,16 +127,13 @@ def tableau_to_json(tableau):
 def tableau_from_json(obj):
     if not isinstance(obj, dict) or "rows" not in obj or "max_entry" not in obj:
         raise TableauError("tableau JSON must be an object with rows and max_entry")
-    rows = obj["rows"]
-    if not isinstance(rows, list) or not all(_is_int_list(row) for row in rows):
-        raise TableauError("tableau rows must be lists of integers")
     if not _is_int(obj["max_entry"]):
         raise TableauError("tableau max_entry must be an integer")
     if obj["max_entry"] > MAX_ENTRY:
         raise TableauError(
             f"tableau max_entry {obj['max_entry']} is above the limit of {MAX_ENTRY}"
         )
-    return Tableau(rows, obj["max_entry"])
+    return Tableau(obj["rows"], obj["max_entry"])
 
 
 def pattern_to_json(pattern):

@@ -351,7 +351,7 @@ def walked(alg, f, chains):
         assert all(isinstance(r, PArray) for r in results)
     else:
         every = range(f.poset.size)
-        results = [f._replace(lane.leave(f.values, start, r, every)) for r in results]
+        results = [f._replace(lane.leave(r, every)) for r in results]
     return results, same
 
 
@@ -637,6 +637,9 @@ MUTANTS = {
     "bir-dropped-upper-rest-loop": ("birational", "stage", rewrite("in ups:", "in ():")),
     "pl-swapped-boundary-slots": ("pl", "enter", swapped_boundary),
     "bir-swapped-boundary-slots": ("birational", "enter", swapped_boundary),
+    "pl-scale-from-top-slot": ("pl", "leave", rewrite("ints[-1]", "ints[-2]")),
+    "pl-read-next-slot": ("pl", "leave", rewrite("Rat(ints[x],", "Rat(ints[x + 1],")),
+    "bir-inverted-read": ("birational", "leave", rewrite("Rat(nums[x], dens[x])", "Rat(dens[x], nums[x])")),
 }
 
 

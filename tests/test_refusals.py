@@ -10,12 +10,13 @@ import re
 import pytest
 
 from togglekit.birational import shear_stages
-from togglekit.dynamics import PL, PArray, step_map, toggle
+from togglekit.dynamics import PL, PArray, file_toggle, step_map, toggle
 from togglekit.posets import (
     OrderIdeal,
     Poset,
     PosetError,
     down_closure,
+    file_toggle_ideal,
     filter_minimals,
     rectangle_poset,
     toggle_ideal,
@@ -104,6 +105,22 @@ REFUSALS = [
      "pattern is not of rectangular type"),
     ("array-off-rectangles", lambda: array_to_pattern(PArray(triangle_poset(2), [0] * 3), 1),
      PosetError, "array is not on a rectangle poset"),
+    ("unhashable-label", lambda: Poset(2, [], labels=[{}, 1]), PosetError,
+     "labels must be hashable"),
+    ("bool-toggle-index", lambda: toggle_ideal(OrderIdeal(P, []), True), PosetError,
+     "element index True out of range"),
+    ("float-toggle-index", lambda: toggle_ideal(OrderIdeal(P, []), 1.0), PosetError,
+     "element index 1.0 out of range"),
+    ("bool-array-toggle-index", lambda: toggle(PL, PL.array(P, [0] * 4), True), PosetError,
+     "element index True out of range"),
+    ("float-array-toggle-index", lambda: toggle(PL, PL.array(P, [0] * 4), 1.0), PosetError,
+     "element index 1.0 out of range"),
+    ("bool-file-index", lambda: P.file_members(True), PosetError,
+     "file index True outside 1..3"),
+    ("bool-file-toggle-index", lambda: file_toggle_ideal(OrderIdeal(P, []), True), PosetError,
+     "file index True outside 1..3"),
+    ("float-file-toggle-index", lambda: file_toggle(PL, PL.array(P, [0] * 4), 1.5), PosetError,
+     "file index 1.5 outside 1..3"),
     ("ragged-tableau", lambda: tableau_to_array(Tableau([[1, 2], [2]], 3)), TableauError,
      "only rectangular tableaux map to arrays"),
 ]

@@ -158,6 +158,37 @@ def test_malformed_poset_json_raises_poset_error(doc):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("covers", [[0]], "cover [0] must be a pair of integer indices"),
+        ("covers", "01", "cover '0' must be a pair of integer indices"),
+        ("covers", 5, "covers must be a sequence, got 5"),
+        ("covers", [[0, True]], "cover [0, True] must be a pair of integer indices"),
+        ("rc", [[0, 0], None], "rc positions must be pairs of integers"),
+        ("rc", "ab", "rc positions must be pairs of integers"),
+    ],
+)
+def test_poset_json_covers_and_rc_are_refused_by_the_constructor(field, value, message):
+    doc = {"size": 2, "covers": [], "labels": ["a", "b"], field: value}
+    with pytest.raises(PosetError, match=f"^{re.escape(message)}$"):
+        poset_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, None]], "tableau entries must be integers"),
+        ([1, 2], "tableau rows must be sequences"),
+        ("12", "tableau entries must be integers"),
+        ({"1": 1}, "tableau entries must be integers"),
+    ],
+)
+def test_tableau_json_rows_are_refused_by_the_constructor(rows, message):
+    with pytest.raises(TableauError, match=f"^{re.escape(message)}$"):
+        tableau_from_json({"rows": rows, "max_entry": 3})
+
+
+@pytest.mark.parametrize(
     "poset, shape",
     [
         (triangle_poset(3), [2, 3]),  # same size, other covers and labels

@@ -157,6 +157,15 @@ def test_explicit_start_replaces_sampling():
     assert all(c["inputs"] == 1 for c in sampled)
 
 
+def test_order_suite_refuses_a_bad_start_before_enumerating_ideals(monkeypatch):
+    def enumerate_ideals(poset):
+        raise AssertionError("J(P) enumerated before the start was checked")
+
+    monkeypatch.setattr(verify, "enumerate_ideals", enumerate_ideals)
+    with pytest.raises(ValueError, match="^birational arrays must be strictly positive, got 0$"):
+        suite_order(rectangle_poset(3, 3), start=[0] * 9)
+
+
 def test_order_suite_covers_all_regimes_and_maps():
     report = suite_order(GRID, samples=5, seed=2)
     combos = {(c["check"], c["regime"]) for c in report["checks"]}
