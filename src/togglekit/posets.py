@@ -483,20 +483,20 @@ def _position(poset, mask):
 def _sweep(ideal, order):
     """One kernel sweep; an image in J(P) comes back as its shared ideal.
 
-    Once J(P) is enumerated, the order's record is made on first use, or
-    remade to hold a new tuple of the same order with the same images,
-    and kept as the poset's last table; an ideal in J(P) is swept by its
-    position.  Otherwise the kernel loops and the image is a new ideal.
+    Once J(P) is enumerated, a record is made once per order's contents,
+    on first use, and kept as the poset's last table; an ideal in J(P) is
+    swept by its position.  Otherwise the kernel loops and the image is a
+    new ideal.
     """
     poset = ideal.poset
     table = (order, poset.lower_masks, poset.upper_masks)
     masks = poset._ideal_masks
     if masks is not None:
         known = poset._sweep_tables.get(order)
-        if known is None or known[0] is not order:
-            images = [None] * len(masks) if known is None else known[5]
-            poset._sweep_tables[order] = table + (masks, poset._ideals, images)
-        table = poset._last_table = poset._sweep_tables[order]
+        if known is None:
+            images = [None] * len(masks)
+            known = poset._sweep_tables[order] = table + (masks, poset._ideals, images)
+        table = poset._last_table = known
         k = ideal.position
         if k is None:
             k = _position(poset, ideal.mask)

@@ -24,14 +24,6 @@ def _label_from_json(obj):
     return tuple(obj) if isinstance(obj, list) else obj
 
 
-def _is_int_list(value, length=None):
-    return (
-        isinstance(value, list)
-        and (length is None or len(value) == length)
-        and all(_is_int(v) for v in value)
-    )
-
-
 def _is_label(value):
     if isinstance(value, list):
         return all(_is_int(v) or isinstance(v, str) for v in value)
@@ -53,7 +45,9 @@ def _check_poset_json(obj):
     if not isinstance(labels, list) or not all(_is_label(lab) for lab in labels):
         raise PosetError("poset labels must be strings, integers, or lists of them")
     shape = obj.get("rectangle")
-    if shape is not None and not _is_int_list(shape, 2):
+    if shape is not None and not (
+        isinstance(shape, list) and len(shape) == 2 and all(map(_is_int, shape))
+    ):
         raise PosetError("poset rectangle must be a pair of integers")
 
 
@@ -92,7 +86,7 @@ def ideal_to_json(ideal):
 
 
 def ideal_from_json(poset, obj):
-    if not _is_int_list(obj):
+    if not isinstance(obj, list):
         raise PosetError("ideal JSON must be a list of integer element indices")
     return OrderIdeal(poset, obj)
 
@@ -142,7 +136,7 @@ def pattern_to_json(pattern):
 
 def pattern_from_json(obj):
     rows = obj.get("rows") if isinstance(obj, dict) else None
-    if not isinstance(rows, list) or not all(_is_int_list(row) for row in rows):
+    if not isinstance(rows, list):
         raise TableauError("pattern JSON must be an object with rows of integers")
     return GtPattern(rows)
 

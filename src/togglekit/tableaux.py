@@ -7,6 +7,10 @@ rectangle; dividing them by B gives a point of the order polytope of
 that rectangle poset.  Under this correspondence the i-th Bender-Knuth
 involution acts as the i-th file toggle, so tableau promotion matches
 piecewise-linear promotion.
+
+A semistandard row weakly increases, so its entries at most m are a
+prefix of the row, one bisection long: the pattern, the array and the
+Bender-Knuth involutions read a row's counts that way.
 """
 
 from bisect import bisect_left, bisect_right
@@ -152,36 +156,28 @@ def tableau_to_pattern(tableau):
             f"the pattern of max entry {n} has {n * (n + 1) // 2} slots, "
             f"more than the limit of {MAX_PATTERN_SLOTS}"
         )
-    rows = []
-    for i in range(1, n + 1):
-        bound = n + 1 - i
-        counts = [
-            sum(1 for v in row if v <= bound) for row in tableau.rows[:bound]
-        ]
-        counts += [0] * (bound - len(counts))
-        rows.append(counts)
-    return GtPattern(rows)
+    rows = tableau.rows
+    return GtPattern(
+        [bisect_right(row, m) for row in rows[:m]] + [0] * (m - len(rows))
+        for m in range(n, 0, -1)
+    )
 
 
 def pattern_to_tableau(pattern):
-    'Inverse of tableau_to_pattern.'
+    """Inverse of tableau_to_pattern.
+
+    The top row's nonzero slots are the row lengths, and row r holds m
+    as many times as the shape of the entries at most m grows at r from
+    m - 1 to m.
+    """
     n = pattern.size
-    shapes = {n + 1 - i: pattern.rows[i - 1] for i in range(1, n + 1)}
-    shapes[0] = (0,) * n
-    top = shapes[n]
     rows = []
-    for r in range(len(top)):
-        if top[r] == 0:
-            break
-        row = []
-        for c in range(top[r]):
-            row.append(
-                next(
-                    m
-                    for m in range(1, n + 1)
-                    if r < len(shapes[m]) and shapes[m][r] >= c + 1
-                )
-            )
+    for r in range(n - pattern.rows[0].count(0)):
+        row, below = [], 0
+        for m in range(r + 1, n + 1):
+            count = pattern.rows[n - m][r]
+            row += [m] * (count - below)
+            below = count
         rows.append(row)
     return Tableau(rows, n)
 

@@ -54,9 +54,18 @@ def test_ideal_json_outside_the_poset_is_refused(members):
 
 
 def test_ideal_json_that_is_not_a_list_of_ints_is_refused():
-    message = "^ideal JSON must be a list of integer element indices$"
-    for doc in ([1.5], [True], [0, "1"], "01", {"0": 1}, None):
-        with pytest.raises(PosetError, match=message):
+    not_a_list = "ideal JSON must be a list of integer element indices"
+    for doc, message in (
+        ([1.5], "element index 1.5 out of range"),
+        ([True], "element index True out of range"),
+        ([0, "1"], "element index '1' out of range"),
+        ([0, None], "element index None out of range"),
+        ("01", not_a_list),
+        ({"0": 1}, not_a_list),
+        ({}, not_a_list),
+        (None, not_a_list),
+    ):
+        with pytest.raises(PosetError, match=f"^{re.escape(message)}$"):
             ideal_from_json(grid22(), doc)
 
 
@@ -81,10 +90,22 @@ def test_array_json_without_its_lists_is_refused(doc):
         array_from_json(PL, grid22(), doc)
 
 
-@pytest.mark.parametrize("doc", [{}, [[1]], {"rows": "21"}, {"rows": [[2, "1"], [1]]}])
-def test_malformed_pattern_json_raises_tableau_error(doc):
-    message = "^pattern JSON must be an object with rows of integers$"
-    with pytest.raises(TableauError, match=message):
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({}, "pattern JSON must be an object with rows of integers"),
+        ([[1]], "pattern JSON must be an object with rows of integers"),
+        ({"rows": "21"}, "pattern JSON must be an object with rows of integers"),
+        ({"rows": [[2, "1"], [1]]}, "pattern entries must be integers"),
+        ({"rows": [[1, None]]}, "pattern entries must be integers"),
+        ({"rows": [[True]]}, "pattern entries must be integers"),
+        ({"rows": [1, 2]}, "pattern rows must be sequences"),
+    ],
+    ids=["empty-object", "bare-list", "string-rows", "string-entry", "null-entry",
+         "bool-entry", "int-rows"],
+)
+def test_malformed_pattern_json_raises_tableau_error(doc, message):
+    with pytest.raises(TableauError, match=f"^{message}$"):
         pattern_from_json(doc)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from togglekit import (
@@ -88,6 +90,61 @@ def test_pattern_round_trips_to_tableau():
         for _ in range(10):
             t = random_tableau(rows, cols, n, rng)
             assert pattern_to_tableau(tableau_to_pattern(t)) == t
+
+
+def semistandard_tableaux(shape, max_entry):
+    'Every semistandard tableau of the given shape, entries at most max_entry.'
+    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
+    rows = [[0] * width for width in shape]
+
+    def fill(k):
+        if k == len(cells):
+            yield Tableau(rows, max_entry)
+            return
+        r, c = cells[k]
+        low = max(rows[r][c - 1] if c else 1, rows[r - 1][c] + 1 if r else 1)
+        for v in range(low, max_entry + 1):
+            rows[r][c] = v
+            yield from fill(k + 1)
+
+    return fill(0)
+
+
+def pattern_by_scanning(t):
+    'Pattern row n + 1 - m counts the entries at most m in each row, one by one.'
+    n = t.max_entry
+    return tuple(
+        tuple(sum(1 for v in row if v <= m) for row in t.rows[:m]) + (0,) * (m - len(t.rows))
+        for m in range(n, 0, -1)
+    )
+
+
+def test_patterns_of_every_small_tableau_match_a_per_entry_count():
+    shapes = [
+        shape
+        for rows in (1, 2, 3)
+        for shape in itertools.product((1, 2, 3), repeat=rows)
+        if list(shape) == sorted(shape, reverse=True)
+    ]
+    seen = 0
+    for shape in shapes:
+        for max_entry in range(1, 6):
+            for t in semistandard_tableaux(shape, max_entry):
+                pattern = tableau_to_pattern(t)
+                assert pattern.rows == pattern_by_scanning(t)
+                assert pattern_to_tableau(pattern) == t
+                seen += 1
+    assert len(shapes) == 19
+    assert seen == 2889  # counted again by filtering every filling of each shape
+
+
+def test_a_long_row_round_trips_through_its_pattern():
+    row = [1 + i * 1413 // 10**5 for i in range(10**5)]
+    t = Tableau([row], 1413)
+    pattern = tableau_to_pattern(t)
+    assert pattern.rows[0] == (10**5,) + (0,) * 1412
+    assert pattern.rows[-1] == (row.count(1),)
+    assert pattern_to_tableau(pattern) == t
 
 
 def test_rectangle_type():
