@@ -122,16 +122,25 @@ def quotient_sequence(alg, f):
     return tuple([alg.difference(profile[k + 1], profile[k]) for k in range(len(profile) - 1)])
 
 
+def swapped_quotients(profile, index):
+    'The profile a toggle of file index should give: entries index and index+1 swapped.'
+    out = list(profile)
+    out[index - 1], out[index] = out[index], out[index - 1]
+    return tuple(out)
+
+
+def shifted_quotients(profile):
+    'The profile promotion should give: cycled one step to the left.'
+    return profile[1:] + profile[:1]
+
+
 def file_toggle_swap_check(alg, f, index):
     'Does toggling file i swap entries i and i+1 of the quotient profile?'
-    before = list(quotient_sequence(alg, f))
     after = quotient_sequence(alg, file_toggle(alg, f, index))
-    before[index - 1], before[index] = before[index], before[index - 1]
-    return tuple(before) == after
+    return swapped_quotients(quotient_sequence(alg, f), index) == after
 
 
 def promotion_shift_check(alg, f):
     'Does promotion cycle the quotient profile one step to the left?'
-    before = quotient_sequence(alg, f)
     after = quotient_sequence(alg, promotion(alg, f))
-    return before[1:] + before[:1] == after
+    return shifted_quotients(quotient_sequence(alg, f)) == after

@@ -36,6 +36,13 @@ last record holds the very order tuple the map holds, rowmotion_ideal
 and promotion_ideal pass that record and the position to the kernel
 and return what it returns.  Every other step, file toggles included,
 goes through _sweep, which finds the record by the order's contents.
+Poset's plain fields, the last record among them, are slots: once
+cached_property has stored a fact through the instance __dict__, every
+attribute found there reads about three times slower (Python 3.11), and
+a warm step reads the last record on every call.  The derived facts,
+both toggle orders included, stay cached_property values in __dict__,
+so a class-level patch of Poset.rowmotion_order or promotion_order still
+reaches every step.
 
 Enumeration is refused, with a PosetError, when J(P) would hold more
 than MAX_IDEALS order ideals: rectangles are checked against the exact
@@ -91,6 +98,20 @@ class Poset:
     while moving one column left or right.  A file is the set of
     elements sharing a column.
     """
+
+    # The plain fields are slots; "__dict__" holds the cached_property facts.
+    __slots__ = (
+        "size",
+        "covers",
+        "labels",
+        "rc",
+        "_ideal_masks",
+        "_ideals",
+        "_sweep_tables",
+        "_schedules",
+        "_last_table",
+        "__dict__",
+    )
 
     def __init__(self, size, covers, labels=None, rc=None):
         if not _is_int(size):

@@ -130,6 +130,13 @@ class GtPattern:
                         )
         self.rows = rows
 
+    @classmethod
+    def _trusted(cls, rows):
+        'A pattern from rows of int tuples known to interlace, unchecked.'
+        new = object.__new__(cls)
+        new.rows = rows
+        return new
+
     @property
     def size(self):
         return len(self.rows)
@@ -157,9 +164,12 @@ def tableau_to_pattern(tableau):
             f"more than the limit of {MAX_PATTERN_SLOTS}"
         )
     rows = tableau.rows
-    return GtPattern(
-        [bisect_right(row, m) for row in rows[:m]] + [0] * (m - len(rows))
-        for m in range(n, 0, -1)
+    # A semistandard tableau's pattern interlaces by construction.
+    return GtPattern._trusted(
+        tuple(
+            tuple([bisect_right(row, m) for row in rows[:m]] + [0] * (m - len(rows)))
+            for m in range(n, 0, -1)
+        )
     )
 
 

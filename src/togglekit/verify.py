@@ -15,11 +15,11 @@ from functools import reduce
 from math import prod
 
 from .birational import (
-    file_toggle_swap_check,
-    promotion_shift_check,
     quotient_sequence,
     reciprocity_check,
     shear_stages,
+    shifted_quotients,
+    swapped_quotients,
 )
 from .dynamics import (
     ALGEBRAS,
@@ -285,13 +285,22 @@ def suite_quotient(poset, samples=100, seed=None, start=None):
     rng = seeded_rng(seed)
     ((_, _, arrays),) = _regime_samples(poset, rng, samples, start, ("birational",))
 
+    # The checks of birational.file_toggle_swap_check and
+    # promotion_shift_check, with f's own profile built once.
     def probe(f):
-        total = prod(quotient_sequence(BIRATIONAL, f), start=ONE)
-        bad = [i for i in range(1, a + b) if not file_toggle_swap_check(BIRATIONAL, f, i)]
+        profile = quotient_sequence(BIRATIONAL, f)
+        total = prod(profile, start=ONE)
+        bad = [
+            i
+            for i in range(1, a + b)
+            if quotient_sequence(BIRATIONAL, file_toggle(BIRATIONAL, f, i))
+            != swapped_quotients(profile, i)
+        ]
+        promoted = quotient_sequence(BIRATIONAL, promotion(BIRATIONAL, f))
         return (
             _unless(total == ONE, f, product=str(total)),
             _unless(not bad, f, files=bad),
-            _unless(promotion_shift_check(BIRATIONAL, f), f),
+            _unless(promoted == shifted_quotients(profile), f),
         )
 
     return _report("quotient", seed, _checks("birational", arrays, _QUOTIENT_CHECKS, probe))
@@ -448,6 +457,22 @@ def _toggle_failures(toggled, start, pairs):
     return twice, swapped
 
 
+def _toggle_program(poset, pairs):
+    """_toggle_failures for arrays, as one walk_program.  Element x's
+    stage s_x = ((x,), times) toggles x alone; the chains are [s_x, s_x]
+    for each element, then [s_x, s_y] and [s_y, s_x] for each pair, then
+    f itself.  Chains that start with s_x share its walk."""
+    stages = []
+    for x in range(poset.size):
+        times = [0] * poset.size
+        times[x] = 1
+        stages.append(((x,), times))
+    chains = [[s, s] for s in stages]
+    for x, y in pairs:
+        chains += [[stages[x], stages[y]], [stages[y], stages[x]]]
+    return walk_program(poset, *chains, [])
+
+
 def suite_vertex(poset, samples=20, seed=None):
     """Structural invariants: toggles are involutions, toggles at
     non-adjacent elements commute, the piecewise-linear maps restricted
@@ -470,10 +495,18 @@ def suite_vertex(poset, samples=20, seed=None):
     checks = _checks("combinatorial", ideals, _TOGGLE_CHECKS, ideal_toggles)
 
     rng = seeded_rng(seed)
+    program = _toggle_program(poset, pairs)
     for regime, alg, arrays in _regime_samples(poset, rng, samples):
 
         def array_toggles(f):
-            twice, swapped = _toggle_failures(lambda g, x: toggle(alg, g, x), f, pairs)
+            walked = walks(alg, f, program)
+            start, commuted = walked[-1], walked[poset.size : -1]
+            twice = [x for x in elements if walked[x] != start]
+            swapped = [
+                [x, y]
+                for (x, y), xy, yx in zip(pairs, commuted[::2], commuted[1::2])
+                if xy != yx
+            ]
             return (
                 _unless(not twice, f, elements=twice),
                 _unless(not swapped, f, pairs=swapped[:3]),

@@ -100,6 +100,32 @@ def test_patched_order_gets_its_own_table(monkeypatch):
     assert poset._sweep_tables[flipped] is not poset._sweep_tables[order]
 
 
+@pytest.mark.parametrize("name,step", [("rowmotion", rowmotion_ideal), ("promotion", promotion_ideal)])
+def test_patched_order_reaches_the_next_warm_step_on_shared_ideals(monkeypatch, name, step):
+    """Warm steps on the shared ideals leave the map's own table as the
+    poset's last; after a class-level patch of the map's order, the next
+    step on each shared ideal, and the one after, follow the patched order
+    as the loop gives it, and return the shared ideals of its images.
+    """
+    poset = rectangle_poset(3, 4)
+    shared = enumerate_ideals(poset)
+    masks = enumerate_ideal_masks(poset)
+    order = getattr(poset, f"{name}_order")
+    for ideal in shared + shared:
+        step(ideal)
+    assert poset._last_table[0] is order
+    truncated = order[:-1]
+    monkeypatch.setattr(Poset, f"{name}_order", property(lambda p: truncated))
+    lows, ups = poset.lower_masks, poset.upper_masks
+    expected = [_sweep_loop(m, truncated, lows, ups) for m in masks]
+    assert expected != [_sweep_loop(m, order, lows, ups) for m in masks]
+    for _ in ("cold", "warm"):
+        images = [step(ideal) for ideal in shared]
+        assert [image.mask for image in images] == expected
+        assert all(image is shared[masks.index(image.mask)] for image in images)
+        assert poset._last_table[0] is truncated
+
+
 def test_no_table_before_enumeration():
     poset = rectangle_poset(3, 4)
     ideal = OrderIdeal(poset, [0, 1])
@@ -241,8 +267,10 @@ def test_an_enumerated_poset_keeps_no_dict_keyed_by_masks():
     for _, step in _steps(poset):
         for ideal in enumerate_ideals(poset):
             toggle_ideal(step(ideal), 0)
-    dicts = [value for value in vars(poset).values() if isinstance(value, dict)]
-    assert poset._sweep_tables in dicts
+    # The plain fields are slots, which vars() does not list; read both.
+    fields = [getattr(poset, name) for name in Poset.__slots__ if name != "__dict__"]
+    dicts = [value for value in [*vars(poset).values(), *fields] if isinstance(value, dict)]
+    assert poset._sweep_tables in dicts and poset._schedules in dicts
     assert all(masks.isdisjoint(d) for d in dicts)
     assert all(type(part) is list for table in poset._sweep_tables.values() for part in table[3:])
 

@@ -132,6 +132,7 @@ def test_patterns_of_every_small_tableau_match_a_per_entry_count():
             for t in semistandard_tableaux(shape, max_entry):
                 pattern = tableau_to_pattern(t)
                 assert pattern.rows == pattern_by_scanning(t)
+                assert pattern == GtPattern(pattern.rows)  # built unchecked, yet it validates
                 assert pattern_to_tableau(pattern) == t
                 seen += 1
     assert len(shapes) == 19
@@ -145,6 +146,21 @@ def test_a_long_row_round_trips_through_its_pattern():
     assert pattern.rows[0] == (10**5,) + (0,) * 1412
     assert pattern.rows[-1] == (row.count(1),)
     assert pattern_to_tableau(pattern) == t
+
+
+def test_unchecked_patterns_equal_validated_ones_which_still_refuse_bad_rows():
+    """tableau_to_pattern builds its pattern without the interlacing check;
+    the same rows through GtPattern(...) validate to an equal pattern, and
+    GtPattern(...) still refuses rows that do not interlace."""
+    for t in (T, Tableau([[1, 1, 4], [2, 3], [4]], 4), Tableau([[1]], 1)):
+        pattern = tableau_to_pattern(t)
+        assert all(type(row) is tuple for row in pattern.rows) and type(pattern.rows) is tuple
+        validated = GtPattern(pattern.rows)
+        assert validated == pattern and hash(validated) == hash(pattern)
+        assert repr(validated) == repr(pattern)
+    for rows, slot in (([(1, 0), (2,)], 1), ([(3, 2, 0), (3, 3), (3,)], 2)):
+        with pytest.raises(TableauError, match=f"^rows 1 and 2 do not interlace at slot {slot}$"):
+            GtPattern(rows)
 
 
 def test_rectangle_type():

@@ -1,7 +1,9 @@
 import tracemalloc
+from math import gcd
 
 import pytest
 
+from togglekit.dynamics import BIRATIONAL, PL, Lane
 from togglekit.posets import Poset, PosetError, rectangle_poset, triangle_poset
 from togglekit.rational import Rat
 from togglekit import verify
@@ -107,6 +109,38 @@ def test_homomesy_rank_audit_stops_at_four_rounds(monkeypatch):
 def test_vertex_suite_passes_on_rectangles_and_triangles():
     _assert_clean(suite_vertex(GRID, samples=8, seed=5), "vertex")
     _assert_clean(suite_vertex(triangle_poset(3), samples=8, seed=5), "vertex")
+
+
+def _skewed_lane(alg):
+    """alg's lane, whose stage mis-toggles every single-element stage the
+    way the golden broken-toggles fault skews _toggled_value: the toggled
+    value of x is combined with the value at 0, or with itself at 0."""
+    lane = alg.sweep
+
+    def stage(state, plan, count):
+        outs = lane.stage(state, plan, count)
+        if len(plan) == 1 and len(plan[0][0]) == 1:
+            x = plan[0][0][0][0]
+            for out in outs:
+                if alg is PL:
+                    out[x] += out[0] if x else out[x]
+                else:
+                    nums, dens = out
+                    n, d = nums[x] * nums[0], dens[x] * dens[0]
+                    nums[x], dens[x] = n // gcd(n, d), d // gcd(n, d)
+        return outs
+
+    return Lane(lane.enter, stage, lane.leave)
+
+
+@pytest.mark.parametrize("poset", [GRID, CUBE, triangle_poset(3)], ids=repr)
+def test_vertex_suite_fails_array_toggles_in_a_lane_that_mis_toggles(monkeypatch, poset):
+    for alg in (PL, BIRATIONAL):
+        monkeypatch.setattr(alg, "sweep", _skewed_lane(alg))
+    report = suite_vertex(poset, samples=3, seed=1)
+    failed = {(c["check"], c["regime"]) for c in report["checks"] if not c["pass"]}
+    # Whole sweeps, and the single toggles of the vertex checks, are untouched.
+    assert failed == {(name, regime) for name in verify._TOGGLE_CHECKS for regime in ("pl", "birational")}
 
 
 def test_three_step_suite_is_pl_only_off_rectangles():
