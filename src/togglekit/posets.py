@@ -13,29 +13,29 @@ enumerated once per poset, in ascending order, and that one list is
 shared by every caller, the sweep tables included.  The same
 enumeration builds one shared OrderIdeal per mask, which carries its
 position in J(P); enumerate_ideals and sampling.random_ideal hand out
-those shared ideals.  J(P) has no other index: the position of any
-other mask is found by bisection of the ascending list.
+those shared ideals.  Positions come only from that enumeration.
 
-Sweep tables.  Once J(P) has been enumerated, every ideal sweep
-(rowmotion_ideal, promotion_ideal, file_toggle_ideal) of a member of
-J(P) makes one pybitops.sweep call with a table record and the ideal's
-position.  A record (order, lower_masks, upper_masks, masks, ideals,
-images) holds the toggle order, the poset's cover masks, the shared
-masks and ideals of J(P), and at each position the shared ideal of that
-position's image, recorded the first time that ideal is swept; the step
-returns that ideal as it is, with no lookup and no new OrderIdeal.
-Records are keyed by the contents of the order tuple, never by the name
-of a map, so a changed order gets a record of its own.  The kernel's
-plain toggle loop is the oracle: it fills every slot, and answers masks
-outside J(P) and every sweep of a poset whose J(P) was never
-enumerated, which keeps no record; those steps return a new OrderIdeal,
-and so does toggle_ideal for an image outside an enumerated J(P).
+Sweep tables.  One rule: a shared ideal is swept through its order's
+record and comes back shared, and every other ideal goes through the
+kernel's plain toggle loop and comes back as a new OrderIdeal.  Every
+ideal sweep (rowmotion_ideal, promotion_ideal, file_toggle_ideal) makes
+one pybitops.sweep call, with a table record and the ideal's position
+when it has one.  A record (order, lower_masks, upper_masks, masks,
+ideals, images) holds the toggle order, the poset's cover masks, the
+shared masks and ideals of J(P), and at each position the shared ideal
+of that position's image, recorded the first time that ideal is swept;
+the step returns that ideal as it is, with no lookup and no new
+OrderIdeal.  Records are keyed by the contents of the order tuple, never
+by the name of a map, so a changed order gets a record of its own.  The
+loop is the oracle: it fills every slot.  toggle_ideal always returns a
+new OrderIdeal.
 
 A warm step is two frames: when the ideal is shared and the poset's
 last record holds the very order tuple the map holds, rowmotion_ideal
 and promotion_ideal pass that record and the position to the kernel
 and return what it returns.  Every other step, file toggles included,
-goes through _sweep, which finds the record by the order's contents.
+goes through _sweep, which finds a shared ideal's record by the order's
+contents.
 Poset's plain fields, the last record among them, are slots: once
 cached_property has stored a fact through the instance __dict__, every
 attribute found there reads about three times slower (Python 3.11), and
@@ -49,7 +49,6 @@ than MAX_IDEALS order ideals: rectangles are checked against the exact
 binomial before enumerating, other posets by a running count.
 """
 
-from bisect import bisect_left
 from functools import cached_property, reduce
 from math import comb
 
@@ -476,54 +475,38 @@ def sorted_indices(mask):
 def toggle_ideal(ideal, x):
     """Toggle membership of element x if the result is still an ideal.
 
-    Blocked (returns the input) when x has an upper cover inside or a
-    lower cover outside.
+    Blocked (the new ideal equals the input) when x has an upper cover
+    inside or a lower cover outside.
     """
     poset = ideal.poset
     # A plain int pays one type compare; bools and floats are refused.
     if (type(x) is not int and not _is_int(x)) or not 0 <= x < poset.size:
         raise PosetError(f"element index {x!r} out of range")
     mask = pybitops.toggle(ideal.mask, poset.lower_masks[x], poset.upper_masks[x], 1 << x)
-    k = _position(poset, mask)
-    if k is None:
-        return OrderIdeal.from_mask(poset, mask, validate=False)
-    return poset._ideals[k]
-
-
-def _position(poset, mask):
-    'Position of mask in J(P), by bisection; None outside J(P) or before enumeration.'
-    masks = poset._ideal_masks
-    if masks is None:
-        return None
-    k = bisect_left(masks, mask)
-    if k < len(masks) and masks[k] == mask:
-        return k
-    return None
+    return OrderIdeal.from_mask(poset, mask, validate=False)
 
 
 def _sweep(ideal, order):
-    """One kernel sweep; an image in J(P) comes back as its shared ideal.
+    """One kernel sweep, by the module's one rule.
 
-    Once J(P) is enumerated, a record is made once per order's contents,
-    on first use, and kept as the poset's last table; an ideal in J(P) is
-    swept by its position.  Otherwise the kernel loops and the image is a
-    new ideal.
+    A shared ideal is swept by its position through its order's record,
+    made on first use and kept as the poset's last table, and its image
+    comes back shared.  Any other ideal goes through the kernel loop and
+    its image is a new ideal.
     """
     poset = ideal.poset
-    table = (order, poset.lower_masks, poset.upper_masks)
-    masks = poset._ideal_masks
-    if masks is not None:
-        known = poset._sweep_tables.get(order)
-        if known is None:
-            images = [None] * len(masks)
-            known = poset._sweep_tables[order] = table + (masks, poset._ideals, images)
-        table = poset._last_table = known
-        k = ideal.position
-        if k is None:
-            k = _position(poset, ideal.mask)
-        if k is not None:
-            return pybitops.sweep(table, k)
-    return OrderIdeal.from_mask(poset, pybitops.sweep(table, None, ideal.mask), validate=False)
+    k = ideal.position
+    if k is None:
+        mask = pybitops.sweep((order, poset.lower_masks, poset.upper_masks), None, ideal.mask)
+        return OrderIdeal.from_mask(poset, mask, validate=False)
+    table = poset._sweep_tables.get(order)
+    if table is None:
+        masks = poset._ideal_masks
+        images = [None] * len(masks)
+        table = (order, poset.lower_masks, poset.upper_masks, masks, poset._ideals, images)
+        poset._sweep_tables[order] = table
+    poset._last_table = table
+    return pybitops.sweep(table, k)
 
 
 def rowmotion_ideal(ideal):

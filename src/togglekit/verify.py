@@ -391,8 +391,9 @@ def suite_bridge(shapes=BRIDGE_SHAPES, samples=100, seed=None):
     For random rectangular tableaux: each Bender-Knuth involution acts as
     the file toggle of the same index, whole-tableau promotion acts as
     piecewise-linear promotion, and promotion has order max_entry.
-    Shapes above the tableau limits, or whose samples would each cost
-    more than MAX_BRIDGE_WORK, are refused before any draw.
+    Shapes above the tableau limits, shapes with no array (max_entry at
+    most rows), and shapes whose samples would each cost more than
+    MAX_BRIDGE_WORK are refused before any draw.
     """
     for rows, cols, max_entry in shapes:
         if rows * cols > MAX_ARRAY_SIZE:
@@ -402,6 +403,11 @@ def suite_bridge(shapes=BRIDGE_SHAPES, samples=100, seed=None):
             )
         if max_entry > MAX_ENTRY:
             raise TableauError(f"max entry {max_entry} is above the limit of {MAX_ENTRY}")
+        if max_entry <= rows:
+            raise TableauError(
+                f"a {rows}x{cols}x{max_entry} bridge sample has no array: "
+                f"max entry {max_entry} must exceed the row count {rows}"
+            )
         work = _bridge_work(rows, cols, max_entry)
         if work > MAX_BRIDGE_WORK:
             raise TableauError(
@@ -447,18 +453,8 @@ def _nonadjacent_pairs(poset):
 _TOGGLE_CHECKS = ("toggles-are-involutions", "nonadjacent-toggles-commute")
 
 
-def _toggle_failures(toggled, start, pairs):
-    """The elements x that toggling twice does not take back to start, and
-    the nonadjacent pairs whose toggles do not commute at start; each single
-    toggle toggled(start, x) is computed once."""
-    once = [toggled(start, x) for x in range(start.poset.size)]
-    twice = [x for x, g in enumerate(once) if toggled(g, x) != start]
-    swapped = [[x, y] for x, y in pairs if toggled(once[x], y) != toggled(once[y], x)]
-    return twice, swapped
-
-
 def _toggle_program(poset, pairs):
-    """_toggle_failures for arrays, as one walk_program.  Element x's
+    """The toggle checks for arrays, as one walk_program.  Element x's
     stage s_x = ((x,), times) toggles x alone; the chains are [s_x, s_x]
     for each element, then [s_x, s_y] and [s_y, s_x] for each pair, then
     f itself.  Chains that start with s_x share its walk."""
@@ -486,7 +482,10 @@ def suite_vertex(poset, samples=20, seed=None):
     elements = range(poset.size)
 
     def ideal_toggles(i):
-        twice, swapped = _toggle_failures(toggle_ideal, i, pairs)
+        # Each single toggle of i is computed once.
+        once = [toggle_ideal(i, x) for x in elements]
+        twice = [x for x, g in enumerate(once) if toggle_ideal(g, x) != i]
+        swapped = [[x, y] for x, y in pairs if toggle_ideal(once[x], y) != toggle_ideal(once[y], x)]
         return (
             [{"ideal": list(i.indices), "element": x} for x in twice],
             [{"ideal": list(i.indices), "elements": xy} for xy in swapped],

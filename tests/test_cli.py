@@ -320,7 +320,32 @@ def test_verify_bridge_names_the_tableau_shape_it_needs(capsys):
 def test_verify_bridge_names_an_empty_array(capsys):
     code, out, err = run_cli(capsys, "verify", "bridge", "--shape", "1x1x1", "--samples", "2")
     assert code == 2 and out == ""
-    assert err == "error: the array on [1]x[0] is empty: max_entry 1 must exceed the row count 1\n"
+    assert err == (
+        "error: a 1x1x1 bridge sample has no array: max entry 1 must exceed the row count 1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, rows, max_entry", [("2x3x2", 2, 2), ("3x2x2", 3, 2), ("1x1x1", 1, 1)]
+)
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_verify_bridge_refuses_a_shape_with_no_array_before_any_draw(
+    capsys, shape, rows, max_entry, samples
+):
+    code, out, err = run_cli(capsys, "verify", "bridge", "--shape", shape, "--samples", samples)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: a {shape} bridge sample has no array: "
+        f"max entry {max_entry} must exceed the row count {rows}\n"
+    )
+
+
+def test_verify_bridge_passes_the_smallest_shape_with_an_array_row(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "bridge", "--shape", "2x3x3", "--samples", "1", "--seed", "1"
+    )
+    assert code == 0 and err == ""
+    assert "result: pass" in out
 
 
 def test_verify_rejects_triangle_for_rectangle_suites(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 The kernel's plain toggle loop is the oracle: every tabled sweep must
 give the mask the loop gives, the first time a mask is seen (cold) and
-when its image is read back (warm).  Once J(P) is enumerated, a step
-returns the poset's shared ideal for its image.
+when its image is read back (warm).  Once J(P) is enumerated, a step of
+a shared ideal returns the poset's shared ideal for its image; any other
+ideal takes the loop and gets a new ideal.
 """
 
 from math import comb
@@ -48,10 +49,11 @@ def _steps(poset):
 
 @pytest.mark.parametrize("poset", _posets(), ids=repr)
 def test_tabled_sweeps_equal_the_loop_cold_and_warm(poset):
-    """Fresh ideals, found by mask, and shared ones, read by position.
+    """Fresh ideals, swept by the loop, and shared ones, read by position.
 
-    Each kind goes first on its own copy of the poset, so each fills the
-    table cold and then reads it warm.
+    Each kind goes first on its own copy of the poset; the shared pass
+    fills the table cold and later shared passes read it warm, and fresh
+    ideals give the loop's masks whether or not the table is filled.
     """
     lows, ups = poset.lower_masks, poset.upper_masks
     for shared_first in (False, True):
@@ -65,7 +67,7 @@ def test_tabled_sweeps_equal_the_loop_cold_and_warm(poset):
             for ideals in passes + passes:
                 assert [step(i).mask for i in ideals] == expected
             images = copy._sweep_tables[order][5]
-            assert [image.mask for image in images] == expected  # all recorded on the first pass
+            assert [image.mask for image in images] == expected  # all recorded on the shared pass
 
 
 @pytest.mark.parametrize("poset", _posets(), ids=repr)
@@ -88,12 +90,13 @@ def test_kernel_reads_each_image_position_by_position(poset):
 
 def test_patched_order_gets_its_own_table(monkeypatch):
     poset = rectangle_poset(3, 3)
+    shared = enumerate_ideals(poset)
     masks = enumerate_ideal_masks(poset)
     order = poset.rowmotion_order
-    before = [rowmotion_ideal(OrderIdeal.from_mask(poset, m)).mask for m in masks]
+    before = [rowmotion_ideal(i).mask for i in shared]
     flipped = tuple(reversed(order))
     monkeypatch.setattr(Poset, "rowmotion_order", property(lambda p: flipped))
-    after = [rowmotion_ideal(OrderIdeal.from_mask(poset, m)).mask for m in masks]
+    after = [rowmotion_ideal(i).mask for i in shared]
     lows, ups = poset.lower_masks, poset.upper_masks
     assert after == [_sweep_loop(m, flipped, lows, ups) for m in masks]
     assert after != before
@@ -208,33 +211,48 @@ def test_interleaved_maps_switch_tables_every_step(monkeypatch):
 
 
 @pytest.mark.parametrize("poset", _posets(), ids=repr)
-def test_toggle_ideal_returns_the_shared_ideal_once_enumerated(poset):
-    assert toggle_ideal(OrderIdeal.from_mask(poset, 0), 0).position is None
+def test_ideals_without_a_position_take_the_loop_and_leave_the_tables(poset):
+    """On an enumerated J(P), every sweep and single toggle of a fresh
+    ideal gives the loop's mask as a new ideal with no position, and
+    neither makes, fills nor switches a table record."""
     shared = enumerate_ideals(poset)
     masks = enumerate_ideal_masks(poset)
-    assert toggle_ideal(shared[0], 0) is shared[1]  # {0} follows the empty ideal
-    for ideal in shared + [OrderIdeal.from_mask(poset, m) for m in masks]:
-        for x in range(poset.size):
-            image = toggle_ideal(ideal, x)
-            assert image is shared[masks.index(image.mask)]
-    top = OrderIdeal.from_mask(poset, 1 << (poset.size - 1), validate=False)
-    if poset.size > 1:  # not in J(P), and neither is its toggle at 0
-        assert toggle_ideal(top, 0).position is None
+    rowmotion_ideal(shared[0])
+    tables = dict(poset._sweep_tables)
+    slots = {order: list(table[5]) for order, table in tables.items()}
+    last = poset._last_table
+    lows, ups = poset.lower_masks, poset.upper_masks
+    steps = _steps(poset) + [
+        ((x,), lambda i, x=x: toggle_ideal(i, x)) for x in range(poset.size)
+    ]
+    for order, step in steps:
+        for mask in masks:
+            image = step(OrderIdeal.from_mask(poset, mask))
+            assert image.mask == _sweep_loop(mask, order, lows, ups)
+            assert image.position is None
+    assert poset._sweep_tables == tables
+    assert all(poset._sweep_tables[order] is table for order, table in tables.items())
+    assert {order: list(table[5]) for order, table in tables.items()} == slots
+    assert poset._last_table is last
 
 
 @pytest.mark.parametrize("poset", _posets(), ids=repr)
-def test_positions_are_found_by_bisection_at_every_edge(poset):
-    """Every member of J(P) is found at its position; a mask below the
-    first member, between two members or above the last is not."""
+def test_single_toggles_of_shared_ideals_give_new_members_of_j_of_p(poset):
+    """A single toggle of a shared ideal flips its element exactly when
+    the result is still in J(P), and comes back as a new ideal with no
+    position, equal to its shared twin; toggling the same element again
+    gives back an ideal equal to the input."""
+    shared = enumerate_ideals(poset)
     masks = enumerate_ideal_masks(poset)
-    assert [posets._position(poset, m) for m in masks] == list(range(len(masks)))
-    full = (1 << poset.size) - 1
-    assert masks[0] == 0 and masks[-1] == full
     members = set(masks)
-    between = [m for m in range(full) if m not in members]
-    assert len(between) == full + 1 - len(masks)
-    for mask in [-1, -full - 1] + between + [full + 1, full << 3]:
-        assert posets._position(poset, mask) is None, mask
+    for ideal in shared:
+        for x in range(poset.size):
+            flipped = ideal.mask ^ 1 << x
+            image = toggle_ideal(ideal, x)
+            assert image.mask == (flipped if flipped in members else ideal.mask)
+            assert image.position is None and all(image is not i for i in shared)
+            assert image == shared[masks.index(image.mask)]
+            assert toggle_ideal(image, x) == ideal
 
 
 def test_masks_outside_j_of_p_get_new_ideals():
@@ -344,12 +362,11 @@ def test_fresh_ideals_equal_their_shared_twins():
             assert fresh == shared and shared == fresh
             assert hash(fresh) == hash(shared)
             for _, step in _steps(poset):
-                assert step(fresh) is step(shared)
+                image = step(fresh)
+                assert image == step(shared) and image.position is None
             for x in range(poset.size):
                 image = toggle_ideal(fresh, x)
-                assert image is toggle_ideal(shared, x)
-                if image.mask == fresh.mask:  # a blocked toggle gives back the shared twin
-                    assert image is shared
+                assert image == toggle_ideal(shared, x) and image.position is None
     twin = enumerate_ideals(rectangle_poset(3, 4))[5]
     assert twin == enumerate_ideals(poset)[5]  # an equal poset built apart
 
