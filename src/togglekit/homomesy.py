@@ -182,23 +182,19 @@ def average_space_rank(alg, map_name, averages, functionals):
     """Dimension audit of the homomesic functionals, from orbit averages.
 
     averages holds the orbit-average vector A(f) of each sampled start.
-    The space of coefficient vectors whose orbit average is
-    sample-independent has dimension p - rank{A(f) - A(f_0)} over the
-    sampled starts; the candidate space spanned by the given functionals
-    has dimension rank of their coefficient matrix.  Homomesy of the
-    candidates makes the first at least the second; equality says the
-    candidates exhaust the homomesies seen by these samples.  Rank
-    stability under doubling the sample count is reported alongside.
+    N, the dimension of the space of coefficient vectors whose orbit
+    average agrees on every sampled start, is p - rank{A(f) - A(f_0)};
+    rank F is the rank of the given functionals' coefficient matrix.
+    With H the true homomesy space, span F <= H <= N whenever the
+    functionals are homomesic, and more starts can only shrink N.  So
+    N == rank F certifies H == span F, N < rank F fails for good, and
+    only N > rank F leaves the audit open.  It passes when N == rank F.
     """
     if len(averages) < 2:
         raise ValueError("need at least two sample starts")
     base = averages[0]
     diffs = [[x - y for x, y in zip(avg, base)] for avg in averages[1:]]
-    half = diffs[: max(1, len(diffs) // 2)]
-    rank_half = exact_rank(half)
-    rank_full = exact_rank(diffs)
-    size = len(base)
-    nullspace_dim = size - rank_full
+    nullspace_dim = len(base) - exact_rank(diffs)
     functional_rank = exact_rank([fn.coefficients for fn in functionals])
     return {
         "map": map_name,
@@ -206,8 +202,7 @@ def average_space_rank(alg, map_name, averages, functionals):
         "samples": len(averages),
         "nullspace_dim": nullspace_dim,
         "functional_rank": functional_rank,
-        "stable": rank_half == rank_full,
-        "pass": nullspace_dim == functional_rank and rank_half == rank_full,
+        "pass": nullspace_dim == functional_rank,
     }
 
 

@@ -218,6 +218,13 @@ def test_verify_seed_reports_are_byte_identical(capsys):
     assert doc["seed"] == 21
 
 
+def test_verify_homomesy_settles_a_nullspace_one_above_the_functional_rank(capsys):
+    # The first 50 promotion draws leave the sampled nullspace at 8 > 7.
+    code, out, _ = run_cli(capsys, "verify", "homomesy", "--shape", "3x3", "--seed", "4")
+    assert code == 0, out
+    assert out.splitlines()[-1] == "result: pass"
+
+
 def test_verify_env_seed_matches_flag(monkeypatch, capsys):
     code, flagged, _ = run_cli(
         capsys, "verify", "vertex", "--shape", "2x2", "--samples", "4",

@@ -149,7 +149,7 @@ DIGESTS = {
     "bridge-shapes": "ed885f54b1e0e46f4f3c31e5f7cc7d4339c62ea1c5e36183122e7aab7039cfdd",
     "broken-bridge": "871e8afe81fb7b25af1301b8fa2f813fbdf4bfbd3cd1763d375a1467972268ab",
     "broken-toggles-vertex": "0188f60038c718448e9f6e7f69d49bc9635d01662ab1c75e5ea160ebd2ef2ee0",
-    "first-member-homomesy": "0350627a177eedf4a5fa335ec73b168ce62094d82bb67300e48431ff5b7929d8",
+    "first-member-homomesy": "5311a4f74b309aa05ff173db293f54c9c87ed462c7af302df35bf7e825c785bb",
     "homomesy-start": "95ff05540d1e8b3c0dba7e55848f40dfa9dcdb67bf4863e37b7344e2242b8aae",
     "homomesy-tall": "324a3a7e55fad4f8994b9b39bd45c4ded8bc1297ca1b085d9babac927b9bab16",
     "order-start": "cca83ed46600b87b768d3661c03ef6d6a2d203395c6fff23947066f9d18dc73e",
@@ -201,6 +201,15 @@ def _digest(report):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_are_pinned(name, monkeypatch):
     assert _digest(_report(name, monkeypatch)) == DIGESTS[name]
+
+
+def test_first_member_files_fail_the_dimension_audit_at_once(monkeypatch):
+    # Non-homomesic functionals leave the sampled nullspace (5) below their
+    # rank (6): more draws cannot raise it, so the first round is final.
+    checks = _report("first-member-homomesy", monkeypatch)["checks"]
+    ranks = [c for c in checks if "dimension" in c["check"]]
+    assert [(c["pass"], c["inputs"]) for c in ranks] == [(False, 14)] * 2
+    assert all(c["violations"] == [{"nullspace_dim": 5, "functional_rank": 6}] for c in ranks)
 
 
 def _kind(check):

@@ -326,23 +326,20 @@ def test_rank_audit_needs_two_starts_and_counts_the_first_difference():
     with pytest.raises(ValueError, match="two sample starts"):
         average_space_rank(PL, "rowmotion", [unit(3, 0)], [])
     two = average_space_rank(PL, "rowmotion", [unit(3, 0), unit(3, 1)], [])
-    assert (two["samples"], two["nullspace_dim"], two["stable"]) == (2, 2, True)
+    assert (two["samples"], two["nullspace_dim"]) == (2, 2)
     # Only the first start differs from the base: the rank is 1, not 0.
     first = average_space_rank(PL, "rowmotion", [unit(3, 0)] + [unit(3, 1)] + [unit(3, 0)] * 4, [])
-    assert (first["nullspace_dim"], first["stable"]) == (2, True)
+    assert first["nullspace_dim"] == 2
 
 
-@pytest.mark.parametrize("count, half", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (6, 3), (7, 3)])
-def test_rank_audit_calls_the_first_half_of_the_differences_stable(count, half):
-    # count differences: p copies of e1, then e2.  The first half reaches
-    # the full rank exactly when an e2 falls in it, that is when p < half.
+def test_rank_audit_passes_exactly_when_the_nullspace_equals_the_functional_rank():
     zero = [Rat(0)] * 3
-
-    def stable(p):
-        averages = [zero] + [unit(3, 0)] * p + [unit(3, 1)] * (count - p)
-        return average_space_rank(PL, "rowmotion", averages, [])["stable"]
-
-    assert [stable(p) for p in range(count)] == [p < half for p in range(count)]
+    fns = [Functional("e1", tuple(unit(3, 0)))]
+    ranks = [
+        average_space_rank(PL, "rowmotion", [zero] + [unit(3, x) for x in range(k)], fns)
+        for k in range(1, 4)
+    ]
+    assert [(r["nullspace_dim"], r["pass"]) for r in ranks] == [(2, False), (1, True), (0, False)]
 
 
 def test_functional_equality_and_repr():

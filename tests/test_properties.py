@@ -17,6 +17,7 @@ from togglekit import (
     transfer,
     transfer_inverse,
 )
+from togglekit.homomesy import average_space_rank, orbit_average_vector, standard_functionals
 from togglekit.posets import (
     enumerate_ideals,
     rectangle_poset,
@@ -184,3 +185,32 @@ def test_tableau_promotion_order(shape, seed):
     for _ in range(n):
         cur = tableau_promotion(cur)
     assert cur == t
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (3, 3), (2, 4)]),
+    st.sampled_from(["rowmotion", "promotion"]),
+    st.integers(1, 20),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_sampled_nullspace_bounds_the_functional_rank_and_never_rises(
+    shape, map_name, denominator, seed, data
+):
+    # span F <= H <= N: the standard functionals are homomesic, so the
+    # sampled nullspace N is at least their rank, and a start appended to
+    # the sample can only shrink N.  The rank audit's stopping rule rests on it.
+    a, b = shape
+    poset = rectangle_poset(a, b)
+    functionals = standard_functionals(a, b)
+    rng = seeded_rng(seed)
+    count = data.draw(st.integers(2, 3 * poset.size))
+    starts = [random_polytope_point(poset, rng, denominator) for _ in range(count)]
+    averages = [orbit_average_vector(PL, map_name, PL.array(poset, f)) for f in starts]
+    ranks = [
+        average_space_rank(PL, map_name, averages[:k], functionals) for k in range(2, count + 1)
+    ]
+    dims = [r["nullspace_dim"] for r in ranks]
+    assert min(dims) >= ranks[0]["functional_rank"]
+    assert dims == sorted(dims, reverse=True)

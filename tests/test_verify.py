@@ -60,20 +60,40 @@ def test_homomesy_suite_passes():
     assert ranks and all(c["nullspace_dim"] == c["functional_rank"] == 3 for c in ranks)
 
 
-@pytest.mark.parametrize("seed", [2012, 3025])
-def test_homomesy_rank_audit_draws_again_while_unstable(seed):
-    # The fifth rank direction of the promotion audit on [4]x[4] first
-    # shows after 27-29 difference vectors at these seeds, so the first
-    # half of the 50 samples has a lower rank than all of them.
-    report = suite_homomesy(rectangle_poset(4, 4), samples=50, seed=seed)
+def test_homomesy_rank_audit_draws_again_while_the_nullspace_is_larger():
+    # At this seed 50 promotion draws on [3]x[3] leave an 8-dimensional
+    # sampled nullspace; the second round brings it down to rank F = 7.
+    report = suite_homomesy(CUBE, samples=50, seed=4)
     assert report["pass"], report
     ranks = {c["check"]: c for c in report["checks"] if "dimension" in c["check"]}
-    assert all(c["nullspace_dim"] == c["functional_rank"] == 11 for c in ranks.values())
+    assert all(c["nullspace_dim"] == c["functional_rank"] == 7 for c in ranks.values())
     assert ranks["homomesy-space-dimension-under-rowmotion"]["inputs"] == 50
     assert ranks["homomesy-space-dimension-under-promotion"]["inputs"] == 100
 
 
-def test_homomesy_rank_audit_stops_at_four_rounds(monkeypatch):
+@pytest.mark.parametrize("seed", [2012, 3025])
+def test_homomesy_rank_audit_settles_in_one_round_at_the_functional_rank(seed):
+    # The fifth rank direction of the promotion audit on [4]x[4] first shows
+    # after 27-29 difference vectors at these seeds. All 50 samples already
+    # bring N down to rank F = 11, so neither map draws a second round.
+    report = suite_homomesy(rectangle_poset(4, 4), samples=50, seed=seed)
+    assert report["pass"], report
+    ranks = [c for c in report["checks"] if "dimension" in c["check"]]
+    assert all(c["nullspace_dim"] == c["functional_rank"] == 11 for c in ranks)
+    assert [c["inputs"] for c in ranks] == [50, 50]
+
+
+def test_homomesy_rank_audit_passes_on_few_samples():
+    # At samples=5 the audit draws 2p+2 = 20 starts on [3]x[3]; in 9 of these
+    # 80 audits they leave N above rank F, and a second round settles it.
+    failed = [s for s in range(1, 41) if not suite_homomesy(CUBE, samples=5, seed=s)["pass"]]
+    assert failed == []
+
+
+def _count_rank_audits(monkeypatch, nullspace_dim):
+    """Run the homomesy suite on GRID at samples=12 with every rank audit
+    reporting nullspace_dim against a functional rank of 3; return the
+    sample counts each audit saw, the maps walked, and the dimension checks."""
     counts = []
     walks = []
     walk = verify.orbit_average_vector
@@ -82,28 +102,38 @@ def test_homomesy_rank_audit_stops_at_four_rounds(monkeypatch):
         walks.append(map_name)
         return walk(alg, map_name, f, cap=cap)
 
-    def never_stable(alg, map_name, averages, functionals):
+    def fixed_rank(alg, map_name, averages, functionals):
         counts.append(len(averages))
         return {
             "samples": len(averages),
-            "nullspace_dim": 3,
+            "nullspace_dim": nullspace_dim,
             "functional_rank": 3,
-            "stable": False,
             "pass": False,
         }
 
     monkeypatch.setattr(verify, "orbit_average_vector", counted_walk)
-    monkeypatch.setattr(verify, "average_space_rank", never_stable)
+    monkeypatch.setattr(verify, "average_space_rank", fixed_rank)
     report = suite_homomesy(GRID, samples=12, seed=5)
+    return counts, walks, [c for c in report["checks"] if "dimension" in c["check"]]
+
+
+def test_homomesy_rank_audit_stops_at_four_rounds(monkeypatch):
+    counts, walks, ranks = _count_rank_audits(monkeypatch, 4)
     assert counts == [12, 24, 36, 48] * 2
     # One orbit walk per draw: earlier rounds are not walked again.
     assert walks == ["rowmotion"] * 48 + ["promotion"] * 48
-    ranks = [c for c in report["checks"] if "dimension" in c["check"]]
     assert [c["inputs"] for c in ranks] == [48, 48]
     assert not any(c["pass"] for c in ranks)
-    assert ranks[0]["violations"] == [
-        {"nullspace_dim": 3, "functional_rank": 3, "stable": False}
-    ]
+    assert ranks[0]["violations"] == [{"nullspace_dim": 4, "functional_rank": 3}]
+
+
+def test_homomesy_rank_audit_stops_at_once_below_the_functional_rank(monkeypatch):
+    # More draws can only shrink the nullspace, so N < rank F is final.
+    counts, walks, ranks = _count_rank_audits(monkeypatch, 2)
+    assert counts == [12] * 2
+    assert walks == ["rowmotion"] * 12 + ["promotion"] * 12
+    assert [c["inputs"] for c in ranks] == [12, 12]
+    assert ranks[0]["violations"] == [{"nullspace_dim": 2, "functional_rank": 3}]
 
 
 def test_vertex_suite_passes_on_rectangles_and_triangles():
