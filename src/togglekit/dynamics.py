@@ -63,7 +63,10 @@ state has two boundary slots past the elements, size for the bottom
 value and size + 1 for the top, and a toggle names the slots it reads:
 (x, l0, l1, lower_rest, u0, u1, upper_rest), where a minimal element's
 l0 is the bottom slot and a maximal element's u0 the top slot.  So each
-lane has one toggle loop for every number of covers.
+lane has one toggle loop for every number of covers.  The loops over
+lower_rest and upper_rest run only when the tuple is nonempty: on a
+rectangle no element has more than two lower or two upper covers, so
+every rest is empty and the guard spares each toggle two empty loops.
 
 An algebra built directly with ToggleAlgebra(...) has no lane and walks
 through _walk, which runs every toggle of every sweep through
@@ -226,16 +229,20 @@ def _pl_stage(ints, plan, count):
             if l1 is not None:
                 if ints[l1] > left:
                     left = ints[l1]
-                for y in lows:
-                    if ints[y] > left:
-                        left = ints[y]
+                # Guarded: a loop over an empty tuple still costs its
+                # setup, and on a rectangle every rest is empty.
+                if lows:
+                    for y in lows:
+                        if ints[y] > left:
+                            left = ints[y]
             right = ints[u0]
             if u1 is not None:
                 if ints[u1] < right:
                     right = ints[u1]
-                for y in ups:
-                    if ints[y] < right:
-                        right = ints[y]
+                if ups:
+                    for y in ups:
+                        if ints[y] < right:
+                            right = ints[y]
             ints[x] = left + right - ints[x]
         for out, xs in zip(outs, reads):
             for x in xs:
@@ -266,17 +273,19 @@ def _birational_stage(state, plan, count):
             if l1 is not None:
                 n, d = nums[l1], dens[l1]
                 ln, ld = ln * d + n * ld, ld * d
-                for y in lows:
-                    n, d = nums[y], dens[y]
-                    ln, ld = ln * d + n * ld, ld * d
+                if lows:
+                    for y in lows:
+                        n, d = nums[y], dens[y]
+                        ln, ld = ln * d + n * ld, ld * d
             rn, rd = nums[u0], dens[u0]
             if u1 is not None:
                 # (rn/rd) * (n/d) / (rn/rd + n/d) = rn*n / (rn*d + n*rd)
                 n, d = nums[u1], dens[u1]
                 rn, rd = rn * n, rn * d + n * rd
-                for y in ups:
-                    n, d = nums[y], dens[y]
-                    rn, rd = rn * n, rn * d + n * rd
+                if ups:
+                    for y in ups:
+                        n, d = nums[y], dens[y]
+                        rn, rd = rn * n, rn * d + n * rd
             n, d = ln * rn * dens[x], ld * rd * nums[x]
             g = gcd(n, d)
             nums[x], dens[x] = n // g, d // g

@@ -1,14 +1,25 @@
 """Seeded random generators for test and verification inputs.
 
 All samplers take an explicit random.Random so identical seeds give
-identical streams; nothing here touches global random state.
+identical streams; nothing here touches global random state.  The
+rational samplers draw each int with rng.randrange(low, high + 1), which
+is what rng.randint(low, high) calls, so their streams are randint's,
+and take each value from _rat, one bounded memo of reduced Rats keyed by
+(numerator, denominator): a draw in a small range builds each rational
+once per process, and a repeated value is the same immutable object.
 """
 
 import random
+from functools import lru_cache
 
 from .posets import enumerate_ideal_masks
 from .rational import Rat
 from .tableaux import Tableau
+
+
+# The default draws need 421 entries (400 from 1..20 squared, 21 polytope
+# values); the bound keeps wide ranges from growing the memo without end.
+_rat = lru_cache(maxsize=1024)(Rat)
 
 
 def seeded_rng(seed):
@@ -16,33 +27,44 @@ def seeded_rng(seed):
     return random.Random(seed)
 
 
+def _check_range(low, high):
+    if not 1 <= low <= high:
+        raise ValueError(f"positive draws need 1 <= low <= high, got low={low}, high={high}")
+
+
 def random_rational(rng, low=1, high=20):
     'A positive rational with numerator and denominator in [low, high].'
-    return Rat(rng.randint(low, high), rng.randint(low, high))
+    _check_range(low, high)
+    return _rat(rng.randrange(low, high + 1), rng.randrange(low, high + 1))
 
 
 def random_positive_array(alg, poset, rng, low=1, high=20):
-    'An array of independent positive rationals on the poset.'
+    'An array of independent positive rationals on the poset, drawn as random_rational draws them.'
+    _check_range(low, high)
+    draw, stop = rng.randrange, high + 1
     return alg.array(
-        poset, [random_rational(rng, low, high) for _ in range(poset.size)]
+        poset, [_rat(draw(low, stop), draw(low, stop)) for _ in range(poset.size)]
     )
 
 
 def random_polytope_point(poset, rng, denominator=20):
-    """A point of the order polytope with the given denominator.
+    """A point of the order polytope with the given denominator (at least 1).
 
     Entries are sampled in [0, 1] and then pushed up along covers in
     index order (the canonical linear extension), which keeps every
     value in [0, 1] and makes the result order-preserving.  The push
-    runs on the numerators, which share the denominator, so each value
-    becomes a rational once.
+    runs on the numerators, which share the denominator, and each value
+    then comes from the memo of reduced rationals.
     """
-    nums = [rng.randint(0, denominator) for _ in range(poset.size)]
-    for x in range(poset.size):
-        for lo in poset.lower_covers[x]:
+    if denominator < 1:
+        raise ValueError(f"polytope points need a denominator of at least 1, got {denominator}")
+    draw, stop = rng.randrange, denominator + 1
+    nums = [draw(0, stop) for _ in range(poset.size)]
+    for x, lows in enumerate(poset.lower_covers):
+        for lo in lows:
             if nums[lo] > nums[x]:
                 nums[x] = nums[lo]
-    return [Rat(n, denominator) for n in nums]
+    return [_rat(n, denominator) for n in nums]
 
 
 def random_ideal(poset, rng):

@@ -22,7 +22,13 @@ from togglekit.posets import (
     toggle_ideal,
     triangle_poset,
 )
-from togglekit.sampling import random_tableau, seeded_rng
+from togglekit.sampling import (
+    random_polytope_point,
+    random_positive_array,
+    random_rational,
+    random_tableau,
+    seeded_rng,
+)
 from togglekit.tableaux import (
     GtPattern,
     Tableau,
@@ -123,6 +129,12 @@ REFUSALS = [
      "file index 1.5 outside 1..3"),
     ("ragged-tableau", lambda: tableau_to_array(Tableau([[1, 2], [2]], 3)), TableauError,
      "only rectangular tableaux map to arrays"),
+    ("zero-low-draw", lambda: random_rational(seeded_rng(1), 0, 5), ValueError,
+     "positive draws need 1 <= low <= high, got low=0, high=5"),
+    ("empty-range-draw", lambda: random_positive_array(PL, P, seeded_rng(1), 6, 5), ValueError,
+     "positive draws need 1 <= low <= high, got low=6, high=5"),
+    ("zero-denominator-point", lambda: random_polytope_point(P, seeded_rng(1), 0), ValueError,
+     "polytope points need a denominator of at least 1, got 0"),
 ]
 
 

@@ -6,6 +6,7 @@ from togglekit.polytopes import in_order_polytope
 from togglekit.posets import rectangle_poset, triangle_poset
 from togglekit import BIRATIONAL, PL
 from togglekit.sampling import (
+    _rat,
     random_ideal,
     random_linear_extension,
     random_polytope_point,
@@ -121,3 +122,60 @@ def test_polytope_points_equal_the_fraction_push(poset, denominator):
         assert point == fraction_push(poset, old, denominator)
         assert all(type(v) is Rat for v in point)
         assert rng.random() == old.random()  # the same draws from the stream
+
+
+RANGES = [(1, 20), (1, 9), (1, 10**6)]
+POSETS = [rectangle_poset(3, 4), triangle_poset(4), poset_from_json(JSON_POSET)]
+
+
+def randint_rational(rng, low, high):
+    'random_rational as it was: Rat(randint, randint), numerator first.'
+    return Rat(rng.randint(low, high), rng.randint(low, high))
+
+
+@pytest.mark.parametrize("poset", POSETS, ids=["rectangle", "triangle", "json"])
+@pytest.mark.parametrize("low, high", RANGES, ids=["1-20", "1-9", "1-1e6"])
+def test_positive_draws_equal_the_randint_stream(poset, low, high):
+    for seed in range(200):
+        rng, old = seeded_rng(seed), seeded_rng(seed)
+        array = random_positive_array(BIRATIONAL, poset, rng, low, high)
+        assert array.values == tuple(randint_rational(old, low, high) for _ in range(poset.size))
+        q = random_rational(rng, low, high)
+        assert q == randint_rational(old, low, high)
+        assert all(type(v) is Rat for v in (*array.values, q))
+        assert rng.random() == old.random()  # the same draws from the stream
+
+
+def test_the_rational_memo_stays_bounded():
+    rng, old = seeded_rng(41), seeded_rng(41)
+    for _ in range(10_000):
+        q = random_rational(rng, 1, 10**6)
+        assert q == randint_rational(old, 1, 10**6) and type(q) is Rat
+    info = _rat.cache_info()
+    assert info.maxsize is not None and info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+    assert rng.random() == old.random()
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: random_rational(rng, 0, 5),
+        lambda rng: random_rational(rng, -3, 5),
+        lambda rng: random_rational(rng, 6, 5),
+        lambda rng: random_positive_array(BIRATIONAL, rectangle_poset(2, 2), rng, 0, 5),
+        lambda rng: random_positive_array(BIRATIONAL, rectangle_poset(2, 2), rng, 9, 1),
+        lambda rng: random_polytope_point(rectangle_poset(2, 2), rng, 0),
+        lambda rng: random_polytope_point(rectangle_poset(2, 2), rng, -4),
+    ],
+    ids=["rational-zero-low", "rational-negative-low", "rational-low-above-high",
+         "array-zero-low", "array-low-above-high", "point-zero-denominator",
+         "point-negative-denominator"],
+)
+def test_bad_ranges_are_refused_before_drawing(draw):
+    rng = seeded_rng(43)
+    state = rng.getstate()
+    with pytest.raises(ValueError) as info:
+        draw(rng)
+    assert "\n" not in str(info.value)
+    assert rng.getstate() == state
