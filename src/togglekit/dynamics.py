@@ -21,9 +21,9 @@ of order.  pl_algebra and birational_algebra put an exact integer Lane
 in the algebra's sweep slot, in three parts: enter puts f's values and
 alg.boundary into one int state (or declines), stage runs one walk's
 toggle loop in that state, and leave(state, reads) returns one rational
-per entry of reads, in order.  iterate calls the lane itself: enter, one
-_schedule plan, one stage, leave, and writes what leave returns over a
-copy of f.values.
+per entry of reads, in order.  iterate calls the lane itself: one
+_schedule plan, enter, one stage, leave, and writes what leave returns
+over a copy of f.values.
 Several walks from one f go in two steps.  walk_program(poset, *chains)
 compiles chains of (order, times) stages once: chains that start with
 the same stage objects share that run, stages that continue one run over
@@ -34,21 +34,22 @@ runs the compiled walks and picks one state per chain; it never leaves,
 since lane states compare exactly as the walked arrays would.
 orbit_aggregate(alg, map_name, f) is the third driver: one enter, then
 orbits.orbit over frozen lane states, each step one stage of a _schedule
-plan of one sweep of the map's order; each element's orbit aggregate is
-one Rat read from ints (PL: column sum over D * period; birational: the
-column's numerator product over its denominator product).
+plan of one sweep of the map's order, then one leave of the states folded
+slot by slot: a PL sum leaves as the orbit means, since D sums to
+D * period, and a birational product leaves as the orbit products.
 
 - The piecewise-linear lane scales the values and the boundary by D, the
   lcm of all their denominators.  max, min, + and - map the lattice
   (1/D)Z^P to itself, so D is fixed over every walk from f and every
   toggle is int arithmetic; states are lists of ints, and each keeps D
   in the slot after the top boundary slot, where leave reads it.
-- The birational lane holds each value as a (numerator, denominator)
-  pair, builds the lower sum, the upper parallel sum and L*R/v unreduced,
-  and reduces the result with a single gcd per toggle, so states are
-  reduced positive pairs.  It enters only positive input, where no rule
-  can divide by zero; when a value or a boundary value is not positive
-  it declines, and iterate and walks run the reference loop below, which
+- The birational lane's state is one list of ints: the numerators of the
+  values, bottom and top, then their denominators.  stage splits it once,
+  builds the lower sum, the upper parallel sum and L*R/v unreduced,
+  reduces the result with a single gcd per toggle, and joins each state
+  it returns once.  It enters only positive input, where no rule can
+  divide by zero; when a value or a boundary value is not positive it
+  declines, and iterate and walks run the reference loop below, which
   raises where the rules divide by zero.
 
 A lane runs its walk from a schedule (_schedule), built once per poset,
@@ -169,11 +170,24 @@ def _schedule(poset, order, *times):
     first lower cover, or the bottom slot size when it has none, l1 the
     second or None, lower_rest the others; u0, u1 and upper_rest likewise
     for the upper covers, with the top slot size + 1.
+
+    Before it builds a plan it refuses an order entry that is not an
+    element index and a times vector that does not hold one nonnegative
+    int per element; a cached plan is not checked again.
     """
     key = (tuple(order), *map(tuple, times))
     plan = poset._schedules.get(key)
     if plan is None:
         size, lower, upper = poset.size, poset.lower_covers, poset.upper_covers
+        for x in order:
+            if not _is_int(x) or not 0 <= x < size:
+                raise PosetError(f"element index {x!r} out of range")
+        for t in times:
+            if len(t) != size:
+                raise PosetError(f"{len(t)} sweep counts for {size} elements")
+            for k in t:
+                if not _is_int(k) or k < 0:
+                    raise PosetError(f"sweep counts must be nonnegative integers, got {k!r}")
         # One toggle tuple per element, shared by every sweep of the plan.
         slots = {
             x: (x, *_cover_slots(lower[x], size), *_cover_slots(upper[x], size + 1))
@@ -199,13 +213,14 @@ class Lane(namedtuple("Lane", "enter stage leave")):
     """An exact integer lane, shared by iterate, walks and orbit_aggregate.
 
     enter(values, alg.boundary) -> the start state, or None to decline; a
-    state holds the values at slots 0..size-1 and the bottom and top
-    boundary values at slots size and size + 1, which no toggle writes,
-    and anything else leave needs (the PL scale D) past them.
+    state is one list of ints, the values at slots 0..size-1 and the bottom
+    and top at slots size and size + 1, which no toggle writes, then
+    anything else leave needs (PL: the scale D; birational: denominators).
     stage(state, plan, count) -> the count states one _schedule plan of
     count times vectors reads, one per vector;
-    leave(state, reads) -> one rational per entry of reads, in order, which
-    iterate writes over a copy of f.values.
+    leave(state, reads) -> one rational per entry of reads, in order; of a
+    slot-wise sum of PL states their mean, of a product of birational ones
+    their product (orbit_aggregate folds orbits so).
     """
 
     __slots__ = ()
@@ -256,16 +271,18 @@ def _pl_leave(ints, reads):
 
 
 def _birational_enter(values, boundary):
-    '(numerator, denominator) pairs; declines unless every value and boundary value is positive.'
-    nums = [v.numerator for v in (*values, *boundary)]
+    'Numerators of values, bottom and top, then denominators; declines unless all are positive.'
+    ends = (*values, *boundary)
+    nums = [v.numerator for v in ends]
     if min(nums) <= 0:
         return None
-    return nums, [v.denominator for v in (*values, *boundary)]
+    return nums + [v.denominator for v in ends]
 
 
 def _birational_stage(state, plan, count):
     'One birational walk on reduced positive pairs, one gcd per toggle.'
-    nums, dens = list(state[0]), list(state[1])
+    half = len(state) // 2
+    nums, dens = list(state[:half]), list(state[half:])
     outs = [(list(nums), list(dens)) for _ in range(count)]
     for toggles, reads in plan:
         for x, l0, l1, lows, u0, u1, ups in toggles:
@@ -292,12 +309,12 @@ def _birational_stage(state, plan, count):
         for (out_nums, out_dens), xs in zip(outs, reads):
             for x in xs:
                 out_nums[x], out_dens[x] = nums[x], dens[x]
-    return outs
+    return [out_nums + out_dens for out_nums, out_dens in outs]
 
 
 def _birational_leave(state, reads):
-    nums, dens = state
-    return [Rat(nums[x], dens[x]) for x in reads]
+    half = len(state) // 2
+    return [Rat(state[x], state[half + x]) for x in reads]
 
 
 def pl_algebra(bottom=ZERO, top=ONE):
@@ -413,11 +430,11 @@ def _walk(alg, f, order, times):
 
 def iterate(alg, f, order, times):
     'Each entry x of f as it stands after times[x] sweeps of order; untouched x keep f(x).'
+    plan = _schedule(f.poset, order, times)  # refuses a malformed walk on either path
     lane = alg.sweep
     start = None if lane is None else lane.enter(f.values, alg.boundary)
     if start is None:
         return _walk(alg, f, order, times)
-    plan = _schedule(f.poset, order, times)
     (walked,) = lane.stage(start, plan, 1)
     reads = [x for _, (xs,) in plan for x in xs]
     values = list(f.values)
@@ -557,18 +574,12 @@ def orbit_aggregate(alg, map_name, f, cap=1000):
             return [prod(column, start=ONE) for column in columns], period
         return [sum(column, ZERO) / period for column in columns], period
     poset = f.poset
-    size, stage = poset.size, lane.stage
-    plan = _schedule(poset, getattr(poset, f"{map_name}_order"), [1] * size)
-    if not alg.positive_domain:
-        rec = orbit(lambda ints: tuple(stage(ints, plan, 1)[0]), tuple(start), cap=cap)
-        scale = start[-1] * rec.period
-        return [Rat(sum(column), scale) for column in list(zip(*rec))[:size]], rec.period
-    rec = orbit(
-        lambda pair: tuple(map(tuple, stage(pair, plan, 1)[0])), tuple(map(tuple, start)), cap=cap
-    )
-    nums = list(zip(*(state[0] for state in rec)))[:size]
-    dens = zip(*(state[1] for state in rec))
-    return [Rat(prod(n), prod(d)) for n, d in zip(nums, dens)], rec.period
+    plan = _schedule(poset, getattr(poset, f"{map_name}_order"), [1] * poset.size)
+    rec = orbit(lambda state: tuple(lane.stage(state, plan, 1)[0]), tuple(start), cap=cap)
+    # Slot by slot: a PL sum leaves as the orbit mean, since its scale slot
+    # sums to D * period; a birational product leaves as the orbit product.
+    fold = prod if alg.positive_domain else sum
+    return lane.leave([fold(column) for column in zip(*rec)], range(poset.size)), rec.period
 
 
 def vertex_from_ideal(ideal):

@@ -20,8 +20,7 @@ The orbit walk and its aggregate are dynamics.orbit_aggregate's.
 
 from math import prod
 
-from .dynamics import orbit_aggregate, step_map
-from .orbits import orbit
+from .dynamics import orbit_aggregate
 from .posets import rectangle_poset
 from .rational import ONE, Rat, ZERO, as_integer
 
@@ -171,11 +170,12 @@ def exact_rank(rows):
 
 
 def orbit_average_vector(alg, map_name, f, cap=1000):
-    'Per-element orbit averages of a start; birationally over the step_map walk.'
-    if not alg.positive_domain:
-        return orbit_aggregate(alg, map_name, f, cap)[0]
-    rec = orbit(step_map(alg, map_name), f, cap=cap)
-    return [sum(column, ZERO) / rec.period for column in zip(*(state.values for state in rec))]
+    """Per-element orbit averages of a start.  Piecewise-linear only:
+    arithmetic orbit means of birational values are not homomesic, so the
+    audit's span F <= H <= N does not hold for them."""
+    if alg.positive_domain:
+        raise ValueError(f"orbit average vectors are piecewise-linear only, got {alg.name}")
+    return orbit_aggregate(alg, map_name, f, cap)[0]
 
 
 def average_space_rank(alg, map_name, averages, functionals):

@@ -20,10 +20,13 @@ they must be the reference's arrays, entry for entry, and compare equal
 exactly when the reference's arrays do, also where stages over one order
 object continue one run and so share one walk.
 
-The homomesy orbit walks run in the same lanes, over frozen lane states;
-the orbit aggregate, its period, the functionals' statistics and the
-average vector must be those of the reference walk over step_map, and a
-walk past cap must raise the same OrbitError.
+The homomesy orbit walks run in the same lanes, over frozen lane states,
+and fold them slot by slot before one leave; the orbit aggregate, its
+period, the functionals' statistics and the PL average vector must be
+those of the reference walk over step_map, a birational average vector
+is refused, and a walk past cap must raise the same OrbitError.  leave
+of an orbit's slot-wise sum (PL) or product (birational) must be the
+mean or product of the states' own leaves.
 
 Last come negative controls: mutants of a lane's enter or stage, and of
 the orbit aggregate, each of which the same comparison must reject on a
@@ -32,6 +35,7 @@ fixed list of inputs.
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,7 +60,7 @@ from togglekit import Functional, birational, dynamics, homomesy
 from togglekit.birational import _depths, shear_stages
 from togglekit.dynamics import MAX_SCHEDULES, Lane, _schedule, iterate, walk_program, walks
 from togglekit.homomesy import orbit_average_vector, orbit_statistics
-from togglekit.orbits import OrbitError
+from togglekit.orbits import OrbitError, orbit
 from togglekit.verify import suite_recombination
 from togglekit.posets import Poset, PosetError, rectangle_poset, triangle_poset
 from togglekit.rational import ONE, Rat
@@ -540,13 +544,16 @@ def test_shared_order_walks_match_reference_on_unchecked_arrays(poset, data):
 
 def orbit_outcome(alg, map_name, f, functionals, cap):
     """The orbit aggregate and period of f, the functionals' statistics and
-    the average vector; or the OrbitError message, or ZeroDivisionError."""
+    the average vector, which a birational algebra refuses; or the
+    OrbitError message, or ZeroDivisionError."""
     try:
-        return (
-            dynamics.orbit_aggregate(alg, map_name, f, cap),
-            orbit_statistics(alg, map_name, functionals, f, cap=cap),
-            orbit_average_vector(alg, map_name, f, cap=cap),
-        )
+        aggregate = dynamics.orbit_aggregate(alg, map_name, f, cap)
+        statistics = orbit_statistics(alg, map_name, functionals, f, cap=cap)
+        if alg.positive_domain:
+            with pytest.raises(ValueError, match="^orbit average vectors are piecewise-linear only"):
+                orbit_average_vector(alg, map_name, f, cap=cap)
+            return aggregate, statistics
+        return aggregate, statistics, orbit_average_vector(alg, map_name, f, cap=cap)
     except OrbitError as exc:
         return str(exc)
     except ZeroDivisionError:
@@ -587,6 +594,46 @@ def test_orbit_lanes_match_the_step_map_walk(data):
     # numbers grow quickly.
     cap = data.draw(st.integers(1, 12))
     assert orbit_lane_matches_reference(alg, f, functionals, cap)
+
+
+RC_POSETS = [poset for poset in POSETS if poset.rc is not None]
+
+
+def orbit_states(alg, f, map_name):
+    "The lane states of f's orbit under the named map, one sweep per step, as orbit_aggregate walks them."
+    lane, poset = alg.sweep, f.poset
+    plan = _schedule(poset, getattr(poset, f"{map_name}_order"), [1] * poset.size)
+    start = tuple(lane.enter(f.values, alg.boundary))
+    return list(orbit(lambda state: tuple(lane.stage(state, plan, 1)[0]), start))
+
+
+def leaves_and_fold(alg, data, entries, fold):
+    """Each state's leave over one walked orbit on a rectangle or triangle,
+    where every orbit closes, and leave of their slot-wise fold."""
+    poset = data.draw(st.sampled_from(RC_POSETS))
+    f = alg.array(poset, data.draw(st.lists(entries, min_size=poset.size, max_size=poset.size)))
+    states = orbit_states(alg, f, data.draw(st.sampled_from(["rowmotion", "promotion"])))
+    every = range(poset.size)
+    leaves = [alg.sweep.leave(state, every) for state in states]
+    return leaves, alg.sweep.leave([fold(column) for column in zip(*states)], every)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pl_lane_leaves_an_orbit_sum_as_the_mean_of_its_leaves(data):
+    ends = data.draw(st.none() | st.tuples(rationals, rationals))
+    alg = PL if ends is None else pl_algebra(*ends)
+    leaves, folded = leaves_and_fold(alg, data, rationals, sum)
+    assert folded == [sum(column) / len(leaves) for column in zip(*leaves)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_birational_lane_leaves_an_orbit_product_as_the_product_of_its_leaves(data):
+    ends = data.draw(st.none() | st.tuples(positive_rationals, positive_rationals))
+    alg = BIRATIONAL if ends is None else birational_algebra(*ends)
+    leaves, folded = leaves_and_fold(alg, data, positive_rationals, prod)
+    assert folded == [prod(column) for column in zip(*leaves)]
 
 
 # Negative controls: mutants of the lanes' parts, each installed in a copy
@@ -639,7 +686,9 @@ MUTANTS = {
     "bir-swapped-boundary-slots": ("birational", "enter", swapped_boundary),
     "pl-scale-from-top-slot": ("pl", "leave", rewrite("ints[-1]", "ints[-2]")),
     "pl-read-next-slot": ("pl", "leave", rewrite("Rat(ints[x],", "Rat(ints[x + 1],")),
-    "bir-inverted-read": ("birational", "leave", rewrite("Rat(nums[x], dens[x])", "Rat(dens[x], nums[x])")),
+    "bir-inverted-read": (
+        "birational", "leave", rewrite("Rat(state[x], state[half + x])", "Rat(state[half + x], state[x])")
+    ),
 }
 
 
@@ -660,12 +709,10 @@ def test_lane_comparison_rejects_each_mutant(regime, part, mutate):
 
 # Mutant name -> a mutation of dynamics.orbit_aggregate.
 ORBIT_MUTANTS = {
-    "pl-lane-period-off-by-one": rewrite("[:size]], rec.period", "[:size]], rec.period + 1"),
-    "bir-lane-period-off-by-one": rewrite(
-        "prod(d)) for n, d in zip(nums, dens)], rec.period",
-        "prod(d)) for n, d in zip(nums, dens)], rec.period - 1",
-    ),
-    "pl-lane-mean-times-period": rewrite("start[-1] * rec.period", "Rat(start[-1], rec.period)"),
+    "lane-period-off-by-one": rewrite("range(poset.size)), rec.period", "range(poset.size)), rec.period + 1"),
+    "sum-in-place-of-prod": rewrite("fold = prod if", "fold = sum if"),
+    "prod-in-place-of-sum": rewrite("else sum", "else prod"),
+    "leave-of-the-start": rewrite("lane.leave([fold(column) for column in zip(*rec)],", "lane.leave(start,"),
     "reference-mean-times-period": rewrite("ZERO) / period", "ZERO) * period"),
 }
 

@@ -10,7 +10,17 @@ import re
 import pytest
 
 from togglekit.birational import shear_stages
-from togglekit.dynamics import PL, PArray, file_toggle, step_map, toggle
+from togglekit.dynamics import (
+    BIRATIONAL,
+    PL,
+    PArray,
+    file_toggle,
+    iterate,
+    step_map,
+    toggle,
+    walk_program,
+)
+from togglekit.homomesy import homomesy_space_rank, orbit_average_vector
 from togglekit.posets import (
     OrderIdeal,
     Poset,
@@ -135,6 +145,26 @@ REFUSALS = [
      "positive draws need 1 <= low <= high, got low=6, high=5"),
     ("zero-denominator-point", lambda: random_polytope_point(P, seeded_rng(1), 0), ValueError,
      "polytope points need a denominator of at least 1, got 0"),
+    ("birational-average-vector",
+     lambda: orbit_average_vector(BIRATIONAL, "rowmotion", BIRATIONAL.array(P, [1] * 4)),
+     ValueError, "orbit average vectors are piecewise-linear only, got birational"),
+    ("birational-rank-audit",
+     lambda: homomesy_space_rank(BIRATIONAL, "rowmotion", [BIRATIONAL.array(P, [1] * 4)] * 2, []),
+     ValueError, "orbit average vectors are piecewise-linear only, got birational"),
+    ("short-walk-times", lambda: iterate(PL, PL.array(P, [0] * 4), P.rowmotion_order, [1] * 3),
+     PosetError, "3 sweep counts for 4 elements"),
+    ("long-walk-times", lambda: walk_program(P, [(P.rowmotion_order, [1] * 5)]), PosetError,
+     "5 sweep counts for 4 elements"),
+    ("negative-walk-times",
+     lambda: iterate(PL, PL.array(P, [0] * 4), P.rowmotion_order, [1, -1, 1, 1]), PosetError,
+     "sweep counts must be nonnegative integers, got -1"),
+    ("float-walk-times", lambda: walk_program(P, [(P.rowmotion_order, [1.5, 1, 1, 1])]),
+     PosetError, "sweep counts must be nonnegative integers, got 1.5"),
+    ("walk-order-element", lambda: iterate(PL, PL.array(P, [0] * 4), [0, 9], [1] * 4), PosetError,
+     "element index 9 out of range"),
+    ("declined-walk-times",
+     lambda: iterate(BIRATIONAL, PArray(P, [0] * 4), P.rowmotion_order, [1] * 3), PosetError,
+     "3 sweep counts for 4 elements"),
 ]
 
 

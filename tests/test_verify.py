@@ -155,9 +155,9 @@ def _skewed_lane(alg):
                 if alg is PL:
                     out[x] += out[0] if x else out[x]
                 else:
-                    nums, dens = out
-                    n, d = nums[x] * nums[0], dens[x] * dens[0]
-                    nums[x], dens[x] = n // gcd(n, d), d // gcd(n, d)
+                    half = len(out) // 2
+                    n, d = out[x] * out[0], out[half + x] * out[half]
+                    out[x], out[half + x] = n // gcd(n, d), d // gcd(n, d)
         return outs
 
     return Lane(lane.enter, stage, lane.leave)
